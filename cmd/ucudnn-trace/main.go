@@ -354,7 +354,7 @@ func busyByLayer(enabled bool) map[string]float64 {
 	}
 	busy := map[string]float64{}
 	for _, r := range prof.Snapshot() {
-		if r.Layer == "" || r.Launches+r.NestedLaunches == 0 || r.MeanBusyRatio <= 0 {
+		if r.Layer == "" || r.Launches == 0 || r.MeanBusyRatio <= 0 {
 			continue
 		}
 		name := strings.TrimSuffix(r.Layer, "/bwd")

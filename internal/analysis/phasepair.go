@@ -10,9 +10,9 @@ import (
 )
 
 // PhasePair checks that every prof window opened is closed on every
-// path: Enter's token must reach Exit or Next, Begin's must reach End,
-// LaunchStart's must reach LaunchEnd or LaunchEndNested, WorkerStart's
-// must reach WorkerEnd. A window left open skews every later
+// path: Enter's token must reach Exit or Next, Begin's must reach End.
+// (Parallel launches need no pairing: prof.Launch opens and closes its
+// worker windows itself.) A window left open skews every later
 // attribution in the profile — the cost model silently shifts one
 // phase's time into another, which is worse than no profile at all.
 //
@@ -34,16 +34,14 @@ import (
 // The prof package itself is exempt: it manufactures the tokens.
 var PhasePair = &Analyzer{
 	Name: "phasepair",
-	Doc:  "every prof.Enter/Begin/LaunchStart/WorkerStart must be paired with its close on all paths",
+	Doc:  "every prof.Enter/Begin must be paired with its close on all paths",
 	Run:  runPhasePair,
 }
 
 // profOpens maps opener name to the closer names that pair with it.
 var profOpens = map[string][]string{
-	"Enter":       {"Exit", "Next"},
-	"Begin":       {"End"},
-	"LaunchStart": {"LaunchEnd", "LaunchEndNested"},
-	"WorkerStart": {"WorkerEnd"},
+	"Enter": {"Exit", "Next"},
+	"Begin": {"End"},
 }
 
 // profCloses maps closer name to (token argument index, opener it
@@ -53,12 +51,9 @@ var profCloses = map[string]struct {
 	opener  string
 	reopens bool
 }{
-	"Exit":            {1, "Enter", false},
-	"Next":            {1, "Enter", true},
-	"End":             {0, "Begin", false},
-	"LaunchEnd":       {1, "LaunchStart", false},
-	"LaunchEndNested": {1, "LaunchStart", false},
-	"WorkerEnd":       {1, "WorkerStart", false},
+	"Exit": {1, "Enter", false},
+	"Next": {1, "Enter", true},
+	"End":  {0, "Begin", false},
 }
 
 func runPhasePair(pass *Pass) error {

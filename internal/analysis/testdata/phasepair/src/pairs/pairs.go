@@ -103,29 +103,26 @@ func discarded() {
 	work()
 }
 
-// launchWorker pairs the launch hooks, workers inside a closure scope.
-func launchWorker() {
-	l := prof.LaunchStart()
+// closureScope pairs a window inside a worker closure: each closure
+// body is a scope of its own.
+func closureScope() {
 	run(func() {
-		w := prof.WorkerStart()
+		t := prof.Enter()
 		work()
-		prof.WorkerEnd(0, w)
+		prof.Exit(k, t)
 	})
-	prof.LaunchEnd(4, l)
 }
 
-// workerLeaks opens a worker window inside the closure and loses it on
-// the early return.
-func workerLeaks() {
-	l := prof.LaunchStart()
+// closureLeaks opens a window inside the closure and loses it on the
+// early return.
+func closureLeaks() {
 	run(func() {
-		w := prof.WorkerStart() // want `prof.WorkerStart token is open on a path to return`
+		t := prof.Enter() // want `prof.Enter token is open on a path to return`
 		if cond() {
 			return
 		}
-		prof.WorkerEnd(0, w)
+		prof.Exit(k, t)
 	})
-	prof.LaunchEndNested(4, l)
 }
 
 // escaping tokens are conservatively untracked, not flagged.

@@ -5,13 +5,8 @@ package prof
 
 type Kind int
 
-func Enter() int64                             { return 1 }
-func Exit(k Kind, start int64)                 {}
-func Next(k Kind, start int64) int64           { return 1 }
-func Begin(kernel string) int64                { return 1 }
-func End(start int64)                          {}
-func LaunchStart() int64                       { return 1 }
-func LaunchEnd(workers int, start int64)       {}
-func LaunchEndNested(workers int, start int64) {}
-func WorkerStart() int64                       { return 1 }
-func WorkerEnd(w int, start int64)             {}
+func Enter() int64                   { return 1 }
+func Exit(k Kind, start int64)       {}
+func Next(k Kind, start int64) int64 { return 1 }
+func Begin(kernel string) int64      { return 1 }
+func End(start int64)                {}

@@ -4,12 +4,7 @@
 // convention is supported, matching the repository's NCHW tensors.
 package blas
 
-import (
-	"runtime"
-	"sync"
-
-	"ucudnn/internal/prof"
-)
+import "ucudnn/internal/prof"
 
 // Profiler phases of the SGEMM kernel itself: panel packing (the A and
 // B copies into the blocked layouts, alpha fused into the A-pack) and
@@ -72,11 +67,11 @@ func Sgemm(transA, transB bool, m, n, k int, alpha float32, a []float32, lda int
 	sgemmWorkers(true, 0, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
-// SgemmWorkers is Sgemm with an explicit cap on the goroutines used:
-// workers <= 0 selects automatically (GOMAXPROCS, dropping to one thread
-// for small products), workers == 1 forces the serial path (callers that
-// already parallelize across GEMM invocations use this to avoid
-// oversubscription). Every element of C is accumulated in the same order
+// SgemmWorkers is Sgemm with an explicit cap on the workers used:
+// workers <= 0 selects automatically (Workers(0, m, n, k): GOMAXPROCS,
+// dropping to one worker for small products), workers == 1 forces the
+// serial path (callers that already parallelize across GEMM invocations
+// use this to avoid oversubscription). Every element of C is accumulated in the same order
 // regardless of the worker count, so results are bit-identical across
 // all settings.
 //
@@ -104,50 +99,80 @@ func sgemmWorkers(rec bool, workers int, transA, transB bool, m, n, k int, alpha
 		scaleC(m, n, beta, c, ldc)
 		return
 	}
-
 	if workers <= 0 {
-		//ucudnn:allow hotpathcall -- GOMAXPROCS(0) is a read-only scheduler query; it does not allocate
-		workers = runtime.GOMAXPROCS(0)
-		if int64(m)*int64(n)*int64(k) < parallelThreshold {
-			workers = 1
-		}
+		workers = Workers(0, m, n, k)
 	}
-	if workers > m {
-		workers = m
+	g := gemm{rec: rec, transA: transA, transB: transB, m: m, n: n, k: k, alpha: alpha,
+		a: a, lda: lda, b: b, ldb: ldb, beta: beta, c: c, ldc: ldc}
+	g.launch(workers, 1)
+}
+
+// Workers returns the worker count the automatic SGEMM path uses for an
+// (m x k) * (k x n) product under a cap of limit workers (limit <= 0:
+// GOMAXPROCS): one below parallelThreshold multiply-adds, limit above.
+// Callers with their own worker cap pass it here to bound an SGEMM
+// without giving up the small-product serial path.
+//
+//ucudnn:hotpath
+func Workers(limit, m, n, k int) int {
+	if int64(m)*int64(n)*int64(k) < parallelThreshold {
+		return 1
 	}
-	if workers <= 1 {
-		sgemmRows(rec, transA, transB, 0, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+	if limit <= 0 {
+		limit = prof.DefaultWorkers()
+	}
+	return limit
+}
+
+// gemm is one SGEMM call's operands: C = alpha*op(A)*op(B) + beta*C, or
+// PA*op(B) + beta*C when pa holds A pre-packed (alpha fused) by PackA.
+// rec selects the pack/kernel phase windows.
+type gemm struct {
+	rec            bool
+	transA, transB bool
+	m, n, k        int
+	alpha, beta    float32
+	a, pa, b, c    []float32
+	lda, ldb, ldc  int
+}
+
+// rows computes rows [lo, hi) of C.
+//
+//ucudnn:hotpath
+func (g *gemm) rows(lo, hi int) {
+	if g.pa != nil {
+		sgemmPackedRows(g.rec, g.pa, lo, hi, g.m, g.n, g.k, g.transB, g.b, g.ldb, g.beta, g.c, g.ldc)
 		return
 	}
-	// This launch is "nested" to the profiler: it only happens under a
-	// serial outer loop whose phase window already covers this region as
-	// wall time, so only its load imbalance is recorded, not its busy
-	// time (see prof's accounting model).
-	ls := prof.LaunchStart()
-	var wg sync.WaitGroup
-	chunk := (m + workers - 1) / workers
-	launched := 0
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			break
-		}
-		launched++
-		wg.Add(1)
-		//ucudnn:allow hotpath -- the multi-worker path forks by design; callers on the zero-alloc path pass workers==1
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			bs := prof.WorkerStart()
-			sgemmRows(rec, transA, transB, lo, hi, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-			prof.WorkerEnd(w, bs)
-		}(w, lo, hi)
+	sgemmRows(g.rec, g.transA, g.transB, lo, hi, g.n, g.k, g.alpha, g.a, g.lda, g.b, g.ldb, g.beta, g.c, g.ldc)
+}
+
+// launch computes C on up to `workers` workers, each owning a
+// contiguous chunk of rows that is a whole number of align-row panels.
+// One worker runs inline, allocation-free; more fork through
+// prof.Launch. Every C element sees the same k-order accumulation
+// whatever the chunking, so results are bit-identical at every worker
+// count.
+//
+//ucudnn:hotpath
+func (g *gemm) launch(workers, align int) {
+	panels := (g.m + align - 1) / align
+	if workers > panels {
+		workers = panels
 	}
-	wg.Wait()
-	prof.LaunchEndNested(launched, ls)
+	if workers <= 1 {
+		g.rows(0, g.m)
+		return
+	}
+	chunk := ((panels + workers - 1) / workers) * align
+	// Copy g so only the copy is captured (and heap-allocated) by the
+	// escaping closure; the one-worker path above keeps g on the stack.
+	gc := *g
+	//ucudnn:allow hotpath -- the multi-worker path forks by design; callers on the zero-alloc path pass workers==1
+	prof.Launch((g.m+chunk-1)/chunk, func(w int) {
+		lo := w * chunk
+		gc.rows(lo, min(lo+chunk, gc.m))
+	})
 }
 
 // PackAFloats returns the float32 length of the packed form of an
@@ -213,46 +238,12 @@ func SgemmPackedA(workers int, pa []float32, transB bool, m, n, k int, b []float
 		scaleC(m, n, beta, c, ldc)
 		return
 	}
-	panels := (m + mr - 1) / mr
 	if workers <= 0 {
-		//ucudnn:allow hotpathcall -- GOMAXPROCS(0) is a read-only scheduler query; it does not allocate
-		workers = runtime.GOMAXPROCS(0)
-		if int64(m)*int64(n)*int64(k) < parallelThreshold {
-			workers = 1
-		}
+		workers = Workers(0, m, n, k)
 	}
-	if workers > panels {
-		workers = panels
-	}
-	if workers <= 1 {
-		sgemmPackedRows(true, pa, 0, m, m, n, k, transB, b, ldb, beta, c, ldc)
-		return
-	}
-	ls := prof.LaunchStart()
-	var wg sync.WaitGroup
-	chunk := ((panels + workers - 1) / workers) * mr
-	launched := 0
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			break
-		}
-		launched++
-		wg.Add(1)
-		//ucudnn:allow hotpath -- the multi-worker path forks by design; callers on the zero-alloc path pass workers==1
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			bs := prof.WorkerStart()
-			sgemmPackedRows(true, pa, lo, hi, m, n, k, transB, b, ldb, beta, c, ldc)
-			prof.WorkerEnd(w, bs)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	prof.LaunchEndNested(launched, ls)
+	g := gemm{rec: true, transB: transB, m: m, n: n, k: k,
+		pa: pa, b: b, ldb: ldb, beta: beta, c: c, ldc: ldc}
+	g.launch(workers, mr)
 }
 
 //ucudnn:hotpath

@@ -411,7 +411,7 @@ func TestAlgosForCounts(t *testing.T) {
 func TestParallelForCoversAll(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 100} {
 		hits := make([]int32, n)
-		parallelFor(n, func(i int) { hits[i]++ })
+		parallelForW(MaxWorkers(), n, func(_, i int) { hits[i]++ })
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("n=%d: index %d hit %d times", n, i, h)

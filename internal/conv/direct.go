@@ -18,7 +18,7 @@ func runDirect(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTen
 	switch op {
 	case Forward:
 		// One task per (n, k) output plane.
-		phaseFor(phDirectMain, out.N*out.C, func(idx int) {
+		phaseForW(phDirectMain, MaxWorkers(), out.N*out.C, func(_, idx int) {
 			n := idx / out.C
 			k := idx % out.C
 			for oh := 0; oh < out.H; oh++ {
@@ -47,7 +47,7 @@ func runDirect(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTen
 		})
 	case BackwardData:
 		// dX[n,c,ih,iw] = sum_{k,r,s : oh,ow valid} dY[n,k,oh,ow] * W[k,c,r,s].
-		phaseFor(phDirectMain, in.N*in.C, func(idx int) {
+		phaseForW(phDirectMain, MaxWorkers(), in.N*in.C, func(_, idx int) {
 			n := idx / in.C
 			c := idx % in.C
 			for ih := 0; ih < in.H; ih++ {
@@ -87,7 +87,7 @@ func runDirect(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTen
 		// still expose enough tasks to occupy every worker; each (k, c)
 		// pair owns a disjoint R*S block of dW, and the per-element order
 		// is identical at every grid width and worker count.
-		phaseFor(phDirectMain, f.K*f.C, func(idx int) {
+		phaseForW(phDirectMain, MaxWorkers(), f.K*f.C, func(_, idx int) {
 			k := idx / f.C
 			c := idx % f.C
 			for r := 0; r < f.R; r++ {

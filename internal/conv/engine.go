@@ -1,8 +1,6 @@
 package conv
 
 import (
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"ucudnn/internal/prof"
@@ -37,8 +35,7 @@ func MaxWorkers() int {
 	if n := int(engineWorkers.Load()); n > 0 {
 		return n
 	}
-	//ucudnn:allow hotpathcall -- GOMAXPROCS(0) is a read-only scheduler query; it does not allocate
-	return runtime.GOMAXPROCS(0)
+	return prof.DefaultWorkers()
 }
 
 // SetMaxWorkers caps the engine's parallelism (and with it the striped
@@ -89,35 +86,6 @@ func fitStripes(want int, have, stripElems int) int {
 	return want
 }
 
-// stripedRun executes f(w) for w in [0, workers), worker 0 inline on the
-// calling goroutine. It is the engine's fork-join primitive: each worker
-// owns a disjoint workspace strip, so there is no shared mutable state
-// beyond the output tensors' disjoint regions. Every parallel launch is
-// accounted by the profiler: per-worker busy windows plus the launch's
-// wall time, from which stripe load imbalance is derived.
-func stripedRun(workers int, f func(w int)) {
-	if workers <= 1 {
-		f(0)
-		return
-	}
-	ls := prof.LaunchStart()
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			bs := prof.WorkerStart()
-			f(w)
-			prof.WorkerEnd(w, bs)
-		}(w)
-	}
-	bs := prof.WorkerStart()
-	f(0)
-	prof.WorkerEnd(0, bs)
-	wg.Wait()
-	prof.LaunchEnd(workers, ls)
-}
-
 // chunkBounds splits n items into chunks of ceil(n/workers) and returns
 // the [lo, hi) range owned by worker w.
 //
@@ -137,44 +105,27 @@ func chunkBounds(n, workers, w int) (int, int) {
 
 // parallelForW runs f(w, i) for i in [0, n) across at most `workers`
 // workers in contiguous deterministic chunks, passing each invocation the
-// index of the worker (and therefore of its scratch arena). The serial
-// case calls f inline so steady-state execution allocates nothing.
+// index of the worker (and therefore of its scratch arena). It is
+// phaseForW with the chunks untimed, for tasks that record their own
+// phases.
 func parallelForW(workers, n int, f func(w, i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(0, i)
-		}
-		return
-	}
-	stripedRun(workers, func(w int) {
-		lo, hi := chunkBounds(n, workers, w)
-		for i := lo; i < hi; i++ {
-			f(w, i)
-		}
-	})
+	phaseForW(0, workers, n, f)
 }
 
 // phaseForW is parallelForW with each worker's chunk timed as one
-// window of phase ph. Timing is chunk-level by design: two clock
-// readings per worker per stage, independent of how many tiles the
-// chunk covers, so profiling overhead stays negligible against the
+// window of phase ph (0: untimed). Timing is chunk-level by design: two
+// clock readings per worker per stage, independent of how many tiles
+// the chunk covers, so profiling overhead stays negligible against the
 // chunk's own work. On the serial path the single window is wall time;
 // inside a parallel launch each window is that worker's occupancy —
-// exactly the halves the profiler's measured-time denominator is built
-// from.
+// exactly the halves the profiler's measured-time rule is built from.
+// The serial case calls f inline so it allocates nothing beyond the
+// caller's closure; chunks run in parallel through prof.Launch.
 func phaseForW(ph prof.Kind, workers, n int, f func(w, i int)) {
 	if n <= 0 {
 		return
 	}
-	if workers > n {
-		workers = n
-	}
+	workers = imin(workers, n)
 	if workers <= 1 {
 		t := prof.Enter()
 		for i := 0; i < n; i++ {
@@ -183,7 +134,7 @@ func phaseForW(ph prof.Kind, workers, n int, f func(w, i int)) {
 		prof.Exit(ph, t)
 		return
 	}
-	stripedRun(workers, func(w int) {
+	prof.Launch(workers, func(w int) {
 		lo, hi := chunkBounds(n, workers, w)
 		t := prof.Enter()
 		for i := lo; i < hi; i++ {

@@ -4,13 +4,15 @@ package conv
 // cross-checks of every striped algorithm against the direct reference at
 // P in {1, 4}, bitwise invariance across worker counts, the serial
 // single-strip fallback, micro-batched BackwardFilter accumulation at
-// every worker count, and the zero-allocation steady state.
+// every worker count, the worker cap reaching the inner SGEMM, and the
+// zero-allocation steady state.
 
 import (
 	"math"
 	"runtime"
 	"testing"
 
+	"ucudnn/internal/prof"
 	"ucudnn/internal/tensor"
 )
 
@@ -250,6 +252,48 @@ func TestBackwardFilterMicroBatchAtWorkerCounts(t *testing.T) {
 // all scratch comes from the caller's workspace. Pinned to the serial
 // path — fork-join goroutine spawns are the one allocation parallel
 // execution inherently makes.
+// SetMaxWorkers bounds every launch a kernel makes, the inner SGEMM of
+// the serial batch walk included: at a cap of one worker a batch-1 GEMM
+// run launches nothing, whatever GOMAXPROCS is.
+func TestMaxWorkersBoundsInnerSgemm(t *testing.T) {
+	prevP := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prevP)
+	prof.Enable()
+	t.Cleanup(func() {
+		prof.Disable()
+		prof.Reset()
+	})
+	// Batch 1 walks the batch serially; the 16x144x144 per-sample
+	// product is above blas's serial threshold.
+	cs := tensor.ConvShape{
+		In:     tensor.Shape{N: 1, C: 16, H: 12, W: 12},
+		Filt:   tensor.Filter{K: 16, C: 16, R: 3, S: 3},
+		Params: tensor.ConvParams{PadH: 1, PadW: 1, StrideH: 1, StrideW: 1},
+	}
+	launches := func(p int) int64 {
+		prof.Reset()
+		withWorkers(p, func() {
+			for _, op := range Ops {
+				x, w, y := randomProblem(cs, 5)
+				if err := Run(op, AlgoGemm, cs, x, w, y, 1, 0, wsFor(t, op, AlgoGemm, cs)); err != nil {
+					t.Fatalf("P=%d %v: %v", p, op, err)
+				}
+			}
+		})
+		var n int64
+		for _, r := range prof.Snapshot() {
+			n += r.Launches
+		}
+		return n
+	}
+	if n := launches(1); n != 0 {
+		t.Errorf("SetMaxWorkers(1): %d launches, want 0", n)
+	}
+	if n := launches(2); n == 0 {
+		t.Error("SetMaxWorkers(2): no inner SGEMM launch, so the cap above was not exercised")
+	}
+}
+
 func TestForwardZeroAllocSteadyState(t *testing.T) {
 	prevP := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prevP)

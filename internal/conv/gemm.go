@@ -230,7 +230,8 @@ func (g gemmCtx) filterPartial(wk, n, sgemmWorkers int) {
 // runGemm executes the explicit im2col + SGEMM algorithm, striping the
 // batch across as many workspace strips as the granted workspace holds
 // (at most one per engine worker). With a single strip, the batch is
-// walked serially and the inner SGEMM re-parallelized instead.
+// walked serially and the inner SGEMM re-parallelized instead, up to
+// MaxWorkers.
 func runGemm(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTensor, y *tensor.Tensor, alpha, beta float32, ws []float32) {
 	out := cs.OutShape()
 	in := cs.In
@@ -256,13 +257,15 @@ func runGemm(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTenso
 	}
 	workers := fitStripes(batchStripes(in.N), len(g.ws), g.strip)
 	flight.Rec(evStripe, int64(op), int64(workers), int64(g.strip), int64(len(ws)))
+	// Every op's per-sample SGEMM is the same K x pixels x CRS product.
+	inner := blas.Workers(MaxWorkers(), g.k, g.pixels, g.crs)
 
 	switch op {
 	case Forward:
 		// Y[n] (K x pixels) = alpha * Wmat (K x CRS) * col + beta * Y[n].
 		if workers <= 1 {
 			for n := 0; n < in.N; n++ {
-				g.forwardSample(0, n, 0)
+				g.forwardSample(0, n, inner)
 			}
 			return
 		}
@@ -274,7 +277,7 @@ func runGemm(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTenso
 		// colGrad = Wmatᵀ (CRS x K) * dY[n] (K x pixels); scatter via col2im.
 		if workers <= 1 {
 			for n := 0; n < in.N; n++ {
-				g.backwardDataSample(0, n, 0)
+				g.backwardDataSample(0, n, inner)
 			}
 			return
 		}
@@ -296,7 +299,7 @@ func runGemm(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTenso
 		}
 		if workers <= 1 {
 			for n := 0; n < in.N; n++ {
-				g.filterPartial(0, n, 0)
+				g.filterPartial(0, n, inner)
 				t := prof.Enter()
 				blas.Saxpy(alpha, g.partFor(0), w.Data)
 				prof.Exit(phGemmReduce, t)

@@ -14,7 +14,7 @@ func runImplicitGemm(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.Fil
 	f := cs.Filt
 	switch op {
 	case Forward:
-		phaseFor(phImplicitMain, out.N*out.C, func(idx int) {
+		phaseForW(phImplicitMain, MaxWorkers(), out.N*out.C, func(_, idx int) {
 			n := idx / out.C
 			k := idx % out.C
 			plane := y.Data[y.Index(n, k, 0, 0) : y.Index(n, k, 0, 0)+out.H*out.W]
@@ -53,7 +53,7 @@ func runImplicitGemm(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.Fil
 			}
 		})
 	case BackwardData:
-		phaseFor(phImplicitMain, in.N*in.C, func(idx int) {
+		phaseForW(phImplicitMain, MaxWorkers(), in.N*in.C, func(_, idx int) {
 			n := idx / in.C
 			c := idx % in.C
 			plane := x.Data[x.Index(n, c, 0, 0) : x.Index(n, c, 0, 0)+in.H*in.W]
@@ -95,7 +95,7 @@ func runImplicitGemm(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.Fil
 		// gradient row. Batch order is preserved per element (n outermost),
 		// so beta=1 micro-batch accumulation keeps the paper's semantics.
 		crs := f.C * f.R * f.S
-		phaseFor(phImplicitMain, f.K, func(k int) {
+		phaseForW(phImplicitMain, MaxWorkers(), f.K, func(_, k int) {
 			row := w.Data[k*crs : (k+1)*crs]
 			if beta == 0 {
 				for i := range row {
@@ -164,7 +164,7 @@ func runImplicitPrecomp(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.
 	table := ws[:crs*pixels]
 	// Each table row (one (c, r, s) filter tap) is independent, so the
 	// build parallelizes over taps.
-	phaseFor(phImplicitPrecomp, crs, func(j int) {
+	phaseForW(phImplicitPrecomp, MaxWorkers(), crs, func(_, j int) {
 		c := j / (f.R * f.S)
 		r := (j / f.S) % f.R
 		s := j % f.S
@@ -184,7 +184,7 @@ func runImplicitPrecomp(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.
 		}
 	})
 	inPlane := in.C * in.H * in.W
-	phaseFor(phImplicitMain, out.N*out.C, func(idx int) {
+	phaseForW(phImplicitMain, MaxWorkers(), out.N*out.C, func(_, idx int) {
 		n := idx / out.C
 		k := idx % out.C
 		xn := x.Data[n*inPlane : (n+1)*inPlane]

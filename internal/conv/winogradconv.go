@@ -354,7 +354,7 @@ func winogradCorrelate(tr *winograd.Transform, cs tensor.ConvShape, x *tensor.Te
 		// Serial path: plain method calls, no closures, so g stays on the
 		// stack and steady-state execution allocates nothing. Each stage
 		// loop is one phase window (wall time; the inner SGEMM may still
-		// fan out — its launch is accounted as nested).
+		// fan out, up to MaxWorkers).
 		t := prof.Enter()
 		for i := 0; i < k*c; i++ { // filter transforms: U[e][kk*c+cc]
 			g.filterTile(0, i)
@@ -367,8 +367,9 @@ func winogradCorrelate(tr *winograd.Transform, cs tensor.ConvShape, x *tensor.Te
 				g.inputTile(0, i, p0, cnt)
 			}
 			t = prof.Next(phWinogradTransformIn, t)
+			inner := blas.Workers(MaxWorkers(), k, cnt, c)
 			for e := 0; e < alpha2; e++ { // M[e] = U[e] * V[e]
-				g.spectralGemm(e, cnt, 0)
+				g.spectralGemm(e, cnt, inner)
 			}
 			t = prof.Next(phWinogradElementwise, t)
 			for i := 0; i < k*cnt; i++ { // inverse transforms and scatter
@@ -534,8 +535,9 @@ func winogradBackwardFilter(tr *winograd.Transform, cs tensor.ConvShape, x *tens
 			g.outputAdjointTile(0, i, total)
 		}
 		t = prof.Next(phWinogradTransformIn, t)
+		inner := blas.Workers(MaxWorkers(), k, c, total)
 		for e := 0; e < alpha2; e++ { // dU[e] = Wb[e] * V[e]ᵀ
-			g.spectralAdjointGemm(e, total, 0)
+			g.spectralAdjointGemm(e, total, inner)
 		}
 		t = prof.Next(phWinogradElementwise, t)
 		for i := 0; i < k*c; i++ { // back to filter space

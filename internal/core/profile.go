@@ -25,15 +25,14 @@ const ProfileSchema = "ucudnn-profile-report/v1"
 
 // ProfileWorkers is one kernel's worker-utilization accounting.
 type ProfileWorkers struct {
-	// Launches counts top-level parallel launches (busy/idle accounted);
-	// NestedLaunches counts inner launches (imbalance only).
-	Launches       int64 `json:"launches"`
-	NestedLaunches int64 `json:"nested_launches,omitempty"`
-	BusyNS         int64 `json:"busy_ns"`
-	IdleNS         int64 `json:"idle_ns"`
-	// MeanBusyRatio is busy/(busy+idle) over top-level launches;
-	// Max/MeanImbalance are the max-over-mean per-worker busy ratios
-	// (1.0 = perfectly balanced stripes) over every launch.
+	// Launches counts parallel launches; BusyNS/IdleNS are their summed
+	// per-worker busy and idle time.
+	Launches int64 `json:"launches"`
+	BusyNS   int64 `json:"busy_ns"`
+	IdleNS   int64 `json:"idle_ns"`
+	// MeanBusyRatio is busy/(busy+idle); Max/MeanImbalance are the
+	// max-over-mean per-worker busy ratios (1.0 = perfectly balanced
+	// stripes) over every launch.
 	MeanBusyRatio float64 `json:"mean_busy_ratio"`
 	MaxImbalance  float64 `json:"max_imbalance"`
 	MeanImbalance float64 `json:"mean_imbalance"`
@@ -109,13 +108,12 @@ func BuildProfileReport() ProfileReport {
 			Coverage:         r.Coverage,
 			Phases:           r.Phases,
 			Workers: ProfileWorkers{
-				Launches:       r.Launches,
-				NestedLaunches: r.NestedLaunches,
-				BusyNS:         r.BusyNS,
-				IdleNS:         r.IdleNS,
-				MeanBusyRatio:  r.MeanBusyRatio,
-				MaxImbalance:   r.MaxImbalance,
-				MeanImbalance:  r.MeanImbalance,
+				Launches:      r.Launches,
+				BusyNS:        r.BusyNS,
+				IdleNS:        r.IdleNS,
+				MeanBusyRatio: r.MeanBusyRatio,
+				MaxImbalance:  r.MaxImbalance,
+				MeanImbalance: r.MeanImbalance,
 			},
 		}
 		if p, ok := findPlan(rep.Handles, r.Kernel); ok {
@@ -145,7 +143,7 @@ func (r ProfileReport) WriteTable(w io.Writer) error {
 				100*float64(k.Phases[0].NS)/math.Max(1, float64(k.MeasuredNS)))
 		}
 		imb := ""
-		if k.Workers.Launches+k.Workers.NestedLaunches > 0 {
+		if k.Workers.Launches > 0 {
 			imb = fmt.Sprintf("max=%.2f mean=%.2f", k.Workers.MaxImbalance, k.Workers.MeanImbalance)
 		}
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%.3f\t%.1f%%\t%s\t%s\t%d\n",
@@ -192,7 +190,11 @@ func WriteProfileFile(path string) error {
 var profilePhaseRe = regexp.MustCompile(`^ucudnn_ph(_[a-z0-9]+)+$`)
 
 // ValidateProfile checks that data is a structurally valid
-// ucudnn-profile-report/v1 document.
+// ucudnn-profile-report/v1 document whose kernel rows keep the
+// profiler's accounting promise, attributed_ns <= measured_ns. The
+// unattributed row is exempt: it has no kernel window to measure. The
+// promise holds for quiescent reports — a snapshot taken mid-kernel
+// can catch phase time before its kernel's End.
 func ValidateProfile(data []byte) error {
 	var rep ProfileReport
 	if err := json.Unmarshal(data, &rep); err != nil {
@@ -229,6 +231,9 @@ func ValidateProfile(data []byte) error {
 		}
 		if sum != k.AttributedNS {
 			return fmt.Errorf("profile: kernels[%d] %s: phases sum to %d, attributed_ns %d", i, k.Kernel, sum, k.AttributedNS)
+		}
+		if k.Kernel != prof.Unattributed && k.AttributedNS > k.MeasuredNS {
+			return fmt.Errorf("profile: kernels[%d] %s: attributed_ns %d exceeds measured_ns %d", i, k.Kernel, k.AttributedNS, k.MeasuredNS)
 		}
 		if w := k.Workers; w.Launches < 0 || w.BusyNS < 0 || w.IdleNS < 0 ||
 			w.MaxImbalance < 0 || w.MeanImbalance < 0 {

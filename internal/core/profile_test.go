@@ -167,6 +167,7 @@ func TestValidateProfileRejects(t *testing.T) {
 		"negative phase": func(r *ProfileReport) { r.Kernels[0].Phases[0].NS = -5; r.Kernels[0].AttributedNS = -5 },
 		"bad coverage":   func(r *ProfileReport) { r.Kernels[0].Coverage = -1 },
 		"neg workers":    func(r *ProfileReport) { r.Kernels[0].Workers.BusyNS = -1 },
+		"over measured":  func(r *ProfileReport) { r.Kernels[0].MeasuredNS = 9 },
 		"bad top phase": func(r *ProfileReport) {
 			r.TopPhases = []prof.PhaseTotal{{Phase: "nope", NS: 1, Count: 1}}
 		},
@@ -176,6 +177,15 @@ func TestValidateProfileRejects(t *testing.T) {
 		if err := ValidateProfile(enc(r)); err == nil {
 			t.Errorf("%s: mutated report passed validation", name)
 		}
+	}
+	// The unattributed row has no kernel window, so it is exempt from
+	// attributed <= measured.
+	orphan := base()
+	orphan.Kernels[0].Kernel = prof.Unattributed
+	orphan.Kernels[0].MeasuredNS = 0
+	orphan.Kernels[0].Coverage = 0
+	if err := ValidateProfile(enc(orphan)); err != nil {
+		t.Errorf("unattributed row rejected: %v", err)
 	}
 	if err := ValidateProfile([]byte("{")); err == nil {
 		t.Error("truncated JSON passed validation")

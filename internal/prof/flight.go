@@ -26,7 +26,7 @@ func recSnapshot(rows, phases, attributed, measured int64) {
 }
 
 // EvLaunchWindow marks one parallel kernel launch window closing. Args:
-// workers, Σ per-worker busy ns, wall ns, nested (1 = nested launch).
+// workers, Σ per-worker busy ns, wall ns.
 // The event is stamped with the enclosing causal span like every flight
 // event, which is what correlates worker-level launch accounting with
 // the conv call and layer on the unified timeline.
@@ -35,20 +35,8 @@ const EvLaunchWindow flight.Name = "ucudnn_ev_launch_window"
 var evLaunchWindow = flight.Register(EvLaunchWindow, func(a, b, c, d int64) string {
 	return "workers=" + strconv.FormatInt(a, 10) +
 		" busy_ns=" + strconv.FormatInt(b, 10) +
-		" wall_ns=" + strconv.FormatInt(c, 10) +
-		" nested=" + strconv.FormatInt(d, 10)
+		" wall_ns=" + strconv.FormatInt(c, 10)
 })
-
-// recLaunchWindow is called from launchEnd (hot path: one flight record).
-//
-//ucudnn:hotpath
-func recLaunchWindow(workers, busy, wall int64, nested bool) {
-	n := int64(0)
-	if nested {
-		n = 1
-	}
-	flight.Rec(evLaunchWindow, workers, busy, wall, n)
-}
 
 // PhaseTotal is one phase's aggregate across every attribution row.
 type PhaseTotal struct {

@@ -8,12 +8,12 @@
 //
 // The recording paths mirror the flight recorder's contract: when
 // profiling is disabled every hook is an atomic load plus a branch, and
-// when enabled the hot-path hooks (Enter/Exit/Next, the launch and
-// worker hooks) touch only fixed atomic slots — no allocation, no
+// when enabled the hot-path hooks (Enter/Exit/Next, GrantWS, and a
+// one-worker Launch) touch only fixed atomic slots — no allocation, no
 // locks, //ucudnn:hotpath clean. The warm-path hooks (Begin/End around
 // a whole kernel execution, SetLayer from the framework layer walk) may
 // take a mutex and allocate; they run once per kernel call, not once
-// per tile.
+// per tile. A multi-worker Launch allocates its goroutines.
 //
 // Phase names are compile-time ucudnn_ph_* snake_case constants
 // (enforced by the phasename analyzer, mirroring the flight recorder's
@@ -24,25 +24,26 @@
 //
 // Accounting model. A kernel execution (core.Handle.execute) brackets
 // with Begin/End: the wall time between them is the kernel's total.
-// Inside it, phase windows are recorded per goroutine: a phase timed
-// inside a parallel worker contributes its worker-local (occupancy)
-// time, a phase timed on the serial path contributes wall time. The
-// matching denominator — "measured" kernel time — is therefore the
-// per-worker busy time of the kernel's top-level parallel launches plus
-// the serial remainder of the kernel wall. Nested launches (the SGEMM
-// inner parallelism under a serial outer loop) report their imbalance
-// but keep their busy time out of the measured total, because the phase
-// window around them already recorded that region as wall time.
+// Every parallel launch inside it goes through Launch, the one
+// fork-join primitive, which times each worker's share as a busy
+// window. One rule then gives the kernel's "measured" time: its wall
+// time plus, for each launch, max(0, Σbusy − wall) — the worker time a
+// launch ran beyond its own wall. A phase window is either serial wall
+// time or the occupancy of a worker inside a launch, so the attributed
+// sum never exceeds measured by construction. At one worker no launch
+// happens and measured is the wall time.
 package prof
 
 import (
 	"fmt"
 	"regexp"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"ucudnn/internal/flight"
 	"ucudnn/internal/obs"
 )
 
@@ -59,11 +60,6 @@ type Kind uint8
 // keeps rows small while leaving ample headroom over the ~dozen phases
 // the conv algorithms define.
 const maxKinds = 64
-
-// maxWorkerSlots bounds the per-worker busy-time slot array; worker
-// indices wrap beyond it (the engine caps workers at GOMAXPROCS, far
-// below).
-const maxWorkerSlots = 256
 
 // phaseRe is the naming scheme Register enforces (mirrored by the
 // phasename analyzer's compile-time rule).
@@ -150,11 +146,10 @@ type row struct {
 	phaseNS [maxKinds]atomic.Int64
 	phaseN  [maxKinds]atomic.Int64
 
-	launches   atomic.Int64 // top-level parallel launches
-	nested     atomic.Int64 // nested parallel launches (imbalance only)
-	busyNS     atomic.Int64 // Σ per-worker busy over top-level launches
-	idleNS     atomic.Int64 // Σ (workers*wall - busy) over top-level launches
-	launchWall atomic.Int64 // Σ wall over top-level launches
+	launches atomic.Int64 // parallel launches
+	busyNS   atomic.Int64 // Σ per-worker busy over launches
+	idleNS   atomic.Int64 // Σ max(0, workers*wall - busy) over launches
+	excessNS atomic.Int64 // Σ max(0, busy - wall) over launches
 
 	imbMaxMicro atomic.Int64 // max over launches of imbalance * 1e6
 	imbSumMicro atomic.Int64 // Σ imbalance * 1e6 (mean = sum / imbN)
@@ -163,13 +158,17 @@ type row struct {
 	wsHigh atomic.Int64 // workspace grant high-watermark, bytes
 }
 
+// Unattributed is the kernel name of the row that absorbs records made
+// outside any kernel execution.
+const Unattributed = "(unattributed)"
+
 var (
 	rowMu sync.Mutex
 	rows  = map[string]*row{}
 	// orphan absorbs phase and launch records made while no kernel is
 	// current (framework GEMMs outside conv kernels, direct conv.Run
 	// calls in tests). Pre-built so the hot path never allocates.
-	orphan = &row{kernel: "(unattributed)"}
+	orphan = &row{kernel: Unattributed}
 	// current is the row of the kernel now executing; kernel executions
 	// are serialized by core.Handle.execMu, so a single slot suffices.
 	current atomic.Pointer[row]
@@ -177,12 +176,6 @@ var (
 	layerMu  sync.Mutex
 	curLayer string
 )
-
-// workerBusy holds per-worker busy nanoseconds between LaunchStart and
-// LaunchEnd; top-level and nested launches never overlap in time (the
-// engine's parallel paths force the inner SGEMM serial), so one slot
-// array serves both.
-var workerBusy [maxWorkerSlots]atomic.Int64
 
 // obs bridge, pre-resolved by SetMetrics so the hot path is a pointer
 // load plus the (allocation-free) Observe/Set.
@@ -290,7 +283,8 @@ func Enter() int64 {
 }
 
 // Exit closes a phase window, attributing its elapsed time to phase k
-// on the current kernel row. A zero start token is a no-op.
+// on the current kernel row. A zero start token or the zero Kind is a
+// no-op.
 //
 //ucudnn:hotpath
 func Exit(k Kind, start int64) {
@@ -328,101 +322,96 @@ func record(k Kind, d int64) {
 	h.Observe(float64(d) * 1e-9)
 }
 
-// LaunchStart opens a parallel-launch window (0 when disabled).
+// DefaultWorkers is the launch width when no cap is set: GOMAXPROCS.
+// The conv engine's MaxWorkers and blas's automatic SGEMM both default
+// to it.
 //
 //ucudnn:hotpath
-func LaunchStart() int64 {
-	if !on.Load() {
-		return 0
-	}
-	return nanotime()
+func DefaultWorkers() int {
+	//ucudnn:allow hotpathcall -- GOMAXPROCS(0) is a read-only scheduler query; it does not allocate
+	return runtime.GOMAXPROCS(0)
 }
 
-// WorkerStart opens one worker's busy window inside a launch.
-//
-//ucudnn:hotpath
-func WorkerStart() int64 {
-	if !on.Load() {
-		return 0
-	}
-	return nanotime()
-}
-
-// WorkerEnd accumulates worker w's busy time into its launch slot.
-//
-//ucudnn:hotpath
-func WorkerEnd(w int, start int64) {
-	if start == 0 {
+// Launch runs f(w) for every worker w in [0, workers) and returns when
+// all have finished: worker 0 inline on the calling goroutine, the rest
+// on goroutines of their own. It is the one fork-join primitive of the
+// kernel engine and the SGEMM, so every parallel launch is accounted
+// here: with profiling on, each worker's f(w) is one busy window, and
+// closing the launch charges its busy/idle time, imbalance and
+// max(0, Σbusy − wall) to the current kernel row. workers <= 1 is a
+// plain call: no launch is recorded and nothing is allocated.
+func Launch(workers int, f func(w int)) {
+	if workers <= 1 {
+		work(f, 0) // no launch is recorded; the busy window is dropped
 		return
 	}
-	workerBusy[w&(maxWorkerSlots-1)].Add(nanotime() - start)
+	l := launch{start: Enter()}
+	l.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		//ucudnn:allow hotpathcall -- a multi-worker launch forks by design; callers on the zero-alloc path launch one worker, which runs inline
+		go func(w int) { l.add(work(f, w)); l.wg.Done() }(w)
+	}
+	l.add(work(f, 0))
+	l.wg.Wait()
+	if l.start != 0 {
+		endLaunch(workers, nanotime()-l.start, l.busy.Load(), l.maxBusy.Load())
+	}
 }
 
-// LaunchEnd closes a top-level parallel launch of the given worker
-// count: drains the worker busy slots into the current kernel's
-// busy/idle accounting and records the launch's load imbalance
-// (max/mean per-worker busy ratio).
+// launch is one Launch's shared state: the join and the busy sums its
+// workers accumulate.
+type launch struct {
+	wg            sync.WaitGroup
+	start         int64 // Enter token; 0 = profiling was off at launch
+	busy, maxBusy atomic.Int64
+}
+
+// add accumulates one worker's busy window.
 //
 //ucudnn:hotpath
-func LaunchEnd(workers int, start int64) {
-	launchEnd(workers, start, false)
+func (l *launch) add(d int64) {
+	l.busy.Add(d)
+	casMax(&l.maxBusy, d)
 }
 
-// LaunchEndNested closes a nested parallel launch (the SGEMM inner
-// parallelism under a serial outer loop): imbalance is recorded, but
-// busy time stays out of the measured total — the enclosing phase
-// window already covers this region as wall time.
+// work runs worker w's share of a launch and returns it as a busy
+// window (0 with profiling off).
+func work(f func(w int), w int) int64 {
+	t := Enter()
+	//ucudnn:allow hotpathcall -- f is the launching kernel's own work, held to its caller's hot-path contract
+	f(w)
+	if t == 0 {
+		return 0
+	}
+	return nanotime() - t
+}
+
+// endLaunch charges a closed launch of the given worker count, wall
+// time and busy sums to the current kernel row (the unattributed row
+// outside any kernel) and records its load imbalance (max/mean
+// per-worker busy ratio).
 //
 //ucudnn:hotpath
-func LaunchEndNested(workers int, start int64) {
-	launchEnd(workers, start, true)
-}
-
-//ucudnn:hotpath
-func launchEnd(workers int, start int64, nested bool) {
-	if start == 0 {
-		return
-	}
-	wall := nanotime() - start
-	n := workers
-	if n > maxWorkerSlots {
-		n = maxWorkerSlots
-	}
-	var sum, max int64
-	for w := 0; w < n; w++ {
-		b := workerBusy[w].Swap(0)
-		sum += b
-		if b > max {
-			max = b
-		}
-	}
+func endLaunch(workers int, wall, busy, maxBusy int64) {
 	r := current.Load()
 	if r == nil {
 		r = orphan
 	}
 	imb := 1.0
-	if sum > 0 {
-		imb = float64(max) * float64(workers) / float64(sum)
+	if busy > 0 {
+		imb = float64(maxBusy) * float64(workers) / float64(busy)
 	}
 	imbMicro := int64(imb * 1e6)
-	if nested {
-		r.nested.Add(1)
-	} else {
-		r.launches.Add(1)
-		r.busyNS.Add(sum)
-		idle := int64(workers)*wall - sum
-		if idle < 0 {
-			idle = 0
-		}
-		r.idleNS.Add(idle)
-		r.launchWall.Add(wall)
-	}
+	r.launches.Add(1)
+	r.busyNS.Add(busy)
+	r.idleNS.Add(max(0, int64(workers)*wall-busy))
+	r.excessNS.Add(max(0, busy-wall))
 	casMax(&r.imbMaxMicro, imbMicro)
 	r.imbSumMicro.Add(imbMicro)
 	r.imbN.Add(1)
 	g := imbGauge.Load()
 	g.Set(imb)
-	recLaunchWindow(int64(workers), sum, wall, nested)
+	flight.Rec(evLaunchWindow, int64(workers), busy, wall, 0)
 }
 
 //ucudnn:hotpath
@@ -444,9 +433,6 @@ func Reset() {
 	rowMu.Unlock()
 	current.Store(nil)
 	zeroRow(orphan)
-	for i := range workerBusy {
-		workerBusy[i].Store(0)
-	}
 }
 
 func zeroRow(r *row) {
@@ -457,10 +443,9 @@ func zeroRow(r *row) {
 		r.phaseN[i].Store(0)
 	}
 	r.launches.Store(0)
-	r.nested.Store(0)
 	r.busyNS.Store(0)
 	r.idleNS.Store(0)
-	r.launchWall.Store(0)
+	r.excessNS.Store(0)
 	r.imbMaxMicro.Store(0)
 	r.imbSumMicro.Store(0)
 	r.imbN.Store(0)
@@ -477,30 +462,28 @@ type PhaseSnap struct {
 // RowSnap is one (layer, kernel) attribution row, as read by Snapshot.
 type RowSnap struct {
 	// Layer is the framework layer name ("" outside a layer walk);
-	// Kernel is the kernel identity string ("(unattributed)" for
-	// records made outside any kernel execution).
+	// Kernel is the kernel identity string (Unattributed for records
+	// made outside any kernel execution).
 	Layer  string `json:"layer"`
 	Kernel string `json:"kernel"`
 	// Executions counts Begin/End brackets; TotalNS is their wall sum.
 	Executions int64 `json:"executions"`
 	TotalNS    int64 `json:"total_ns"`
 	// AttributedNS is the sum over phases; MeasuredNS is the occupancy
-	// denominator (launch busy + serial remainder of the wall);
+	// denominator (the wall plus each launch's max(0, busy - wall));
 	// Coverage is their ratio.
 	AttributedNS int64   `json:"attributed_ns"`
 	MeasuredNS   int64   `json:"measured_ns"`
 	Coverage     float64 `json:"coverage"`
 	// Phases lists the row's nonzero phases, heaviest first.
 	Phases []PhaseSnap `json:"phases"`
-	// Launch accounting: top-level launches contribute busy/idle;
-	// nested launches contribute imbalance only.
-	Launches       int64   `json:"launches"`
-	NestedLaunches int64   `json:"nested_launches,omitempty"`
-	BusyNS         int64   `json:"busy_ns"`
-	IdleNS         int64   `json:"idle_ns"`
-	MeanBusyRatio  float64 `json:"mean_busy_ratio"`
-	MaxImbalance   float64 `json:"max_imbalance"`
-	MeanImbalance  float64 `json:"mean_imbalance"`
+	// Launch accounting over every parallel launch.
+	Launches      int64   `json:"launches"`
+	BusyNS        int64   `json:"busy_ns"`
+	IdleNS        int64   `json:"idle_ns"`
+	MeanBusyRatio float64 `json:"mean_busy_ratio"`
+	MaxImbalance  float64 `json:"max_imbalance"`
+	MeanImbalance float64 `json:"mean_imbalance"`
 	// WSHighWaterBytes is the largest workspace grant the row's kernel
 	// executions actually received.
 	WSHighWaterBytes int64 `json:"ws_high_water_bytes"`
@@ -508,7 +491,7 @@ type RowSnap struct {
 
 // used reports whether the row recorded anything.
 func (r *row) used() bool {
-	if r.execs.Load() != 0 || r.launches.Load() != 0 || r.nested.Load() != 0 {
+	if r.execs.Load() != 0 || r.launches.Load() != 0 {
 		return true
 	}
 	for i := range r.phaseN {
@@ -526,7 +509,6 @@ func (r *row) snap() RowSnap {
 		Executions:       r.execs.Load(),
 		TotalNS:          r.total.Load(),
 		Launches:         r.launches.Load(),
-		NestedLaunches:   r.nested.Load(),
 		BusyNS:           r.busyNS.Load(),
 		IdleNS:           r.idleNS.Load(),
 		WSHighWaterBytes: r.wsHigh.Load(),
@@ -545,11 +527,7 @@ func (r *row) snap() RowSnap {
 		}
 		return s.Phases[a].Phase < s.Phases[b].Phase
 	})
-	serial := s.TotalNS - r.launchWall.Load()
-	if serial < 0 {
-		serial = 0
-	}
-	s.MeasuredNS = s.BusyNS + serial
+	s.MeasuredNS = s.TotalNS + r.excessNS.Load()
 	if s.MeasuredNS > 0 {
 		s.Coverage = float64(s.AttributedNS) / float64(s.MeasuredNS)
 	}

@@ -3,6 +3,7 @@ package prof
 import (
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"ucudnn/internal/obs"
@@ -63,12 +64,12 @@ func TestDisabledHooksAreInert(t *testing.T) {
 	if got := Enter(); got != 0 {
 		t.Fatalf("Enter while disabled = %d, want 0", got)
 	}
-	if got := LaunchStart(); got != 0 {
-		t.Fatalf("LaunchStart while disabled = %d, want 0", got)
+	var ran atomic.Int32
+	Launch(4, func(int) { ran.Add(1) })
+	if ran.Load() != 4 {
+		t.Fatalf("Launch(4) ran %d workers, want 4", ran.Load())
 	}
 	Exit(phA, 0)
-	WorkerEnd(0, 0)
-	LaunchEnd(4, 0)
 	End(0)
 	GrantWS(123)
 	if rows := Snapshot(); len(rows) != 0 {
@@ -148,40 +149,28 @@ func TestImbalanceAccounting(t *testing.T) {
 	resetAll(t)
 	Enable()
 	start := Begin("Kern")
-
-	// Synthetic skewed launch: deposit busy time directly into the worker
-	// slots (what WorkerEnd does), then close the launch. The values are
-	// small against the launch's real wall (the spin), so idle stays
-	// positive after the workers*wall - busy subtraction.
-	ls := LaunchStart()
-	workerBusy[0].Store(400)
-	workerBusy[1].Store(100)
-	workerBusy[2].Store(100)
-	workerBusy[3].Store(100)
-	spin()
-	LaunchEnd(4, ls)
+	// Synthetic skewed launch: 4 workers over a 1000 ns wall, one worker
+	// busy 400 ns and three 100 ns each.
+	endLaunch(4, 1000, 700, 400)
 	End(start)
 
 	r := Snapshot()[0]
-	if r.Launches != 1 || r.NestedLaunches != 0 {
-		t.Fatalf("launches = %d/%d, want 1/0", r.Launches, r.NestedLaunches)
+	if r.Launches != 1 {
+		t.Fatalf("launches = %d, want 1", r.Launches)
 	}
-	if r.BusyNS != 700 {
-		t.Fatalf("busy = %d, want 700", r.BusyNS)
+	if r.BusyNS != 700 || r.IdleNS != 4*1000-700 {
+		t.Fatalf("busy/idle = %d/%d, want 700/%d", r.BusyNS, r.IdleNS, 4*1000-700)
 	}
 	want := 400.0 * 4 / 700.0 // max * workers / sum = 16/7
 	if math.Abs(r.MaxImbalance-want) > 1e-4 || math.Abs(r.MeanImbalance-want) > 1e-4 {
 		t.Fatalf("imbalance max=%v mean=%v, want %v", r.MaxImbalance, r.MeanImbalance, want)
 	}
-	if r.IdleNS <= 0 {
-		t.Fatalf("idle = %d, want positive (wall*workers > busy)", r.IdleNS)
+	if want := 700.0 / 4000.0; math.Abs(r.MeanBusyRatio-want) > 1e-9 {
+		t.Fatalf("mean busy ratio = %v, want %v", r.MeanBusyRatio, want)
 	}
-	if r.MeanBusyRatio <= 0 || r.MeanBusyRatio >= 1 {
-		t.Fatalf("mean busy ratio = %v", r.MeanBusyRatio)
-	}
-	// Measured folds launch busy time in place of the launch's wall.
-	if r.MeasuredNS < r.BusyNS {
-		t.Fatalf("measured %d < busy %d", r.MeasuredNS, r.BusyNS)
+	// Σbusy < wall: the launch ran no worker time beyond its own wall.
+	if r.MeasuredNS != r.TotalNS {
+		t.Fatalf("measured %d != total %d for a launch with busy < wall", r.MeasuredNS, r.TotalNS)
 	}
 }
 
@@ -189,11 +178,7 @@ func TestBalancedLaunchImbalanceIsOne(t *testing.T) {
 	resetAll(t)
 	Enable()
 	start := Begin("Kern")
-	ls := LaunchStart()
-	for w := 0; w < 4; w++ {
-		workerBusy[w].Store(2500)
-	}
-	LaunchEnd(4, ls)
+	endLaunch(4, 2500, 4*2500, 2500)
 	End(start)
 	r := Snapshot()[0]
 	if math.Abs(r.MaxImbalance-1.0) > 1e-4 {
@@ -201,28 +186,60 @@ func TestBalancedLaunchImbalanceIsOne(t *testing.T) {
 	}
 }
 
-func TestNestedLaunchKeepsBusyOutOfMeasured(t *testing.T) {
+// TestLaunchAccountingRule pins the one accounting rule: a kernel's
+// measured time is its wall plus, per launch, max(0, Σbusy − wall), so
+// attributed <= measured whether phase windows are worker occupancy
+// inside a launch or serial wall time around one.
+func TestLaunchAccountingRule(t *testing.T) {
 	resetAll(t)
 	Enable()
-	start := Begin("Kern")
-	ls := LaunchStart()
-	workerBusy[0].Store(3000)
-	workerBusy[1].Store(1000)
-	LaunchEndNested(2, ls)
+
+	// Σbusy > wall: the excess worker time joins the measured total.
+	start := Begin("Over")
+	endLaunch(2, 1000, 1800, 1000)
 	End(start)
-	r := Snapshot()[0]
-	if r.NestedLaunches != 1 || r.Launches != 0 {
-		t.Fatalf("launches = %d/%d, want 0 top-level / 1 nested", r.Launches, r.NestedLaunches)
+
+	// A launch under a serial phase window with Σbusy < wall: the window
+	// is wall time, and the launch adds nothing to measured.
+	start = Begin("Under")
+	pt := Enter()
+	endLaunch(2, 1000, 600, 500)
+	spin()
+	Exit(phA, pt)
+	End(start)
+
+	// A real launch whose workers each record a phase window.
+	start = Begin("Real")
+	Launch(4, func(int) {
+		pt := Enter()
+		spin()
+		Exit(phB, pt)
+	})
+	End(start)
+
+	rows := map[string]RowSnap{}
+	for _, r := range Snapshot() {
+		rows[r.Kernel] = r
 	}
-	if r.BusyNS != 0 || r.IdleNS != 0 {
-		t.Fatalf("nested launch leaked busy/idle: %d/%d", r.BusyNS, r.IdleNS)
+	over, under, live := rows["Over"], rows["Under"], rows["Real"]
+	if over.MeasuredNS != over.TotalNS+800 || over.BusyNS != 1800 || over.IdleNS != 200 {
+		t.Errorf("busy > wall: measured %d (total %d), busy %d, idle %d; want total+800, 1800, 200",
+			over.MeasuredNS, over.TotalNS, over.BusyNS, over.IdleNS)
 	}
-	if want := 3000.0 * 2 / 4000.0; math.Abs(r.MaxImbalance-want) > 1e-4 {
-		t.Fatalf("nested imbalance = %v, want %v", r.MaxImbalance, want)
+	if under.MeasuredNS != under.TotalNS || under.IdleNS != 1400 {
+		t.Errorf("busy < wall: measured %d (total %d), idle %d; want total, 1400",
+			under.MeasuredNS, under.TotalNS, under.IdleNS)
 	}
-	// The nested region stays measured as wall time.
-	if r.MeasuredNS != r.TotalNS {
-		t.Fatalf("measured %d != total %d: nested busy must not replace wall", r.MeasuredNS, r.TotalNS)
+	if live.Launches != 1 || live.BusyNS <= 0 {
+		t.Errorf("real launch: launches %d, busy %d; want 1, > 0", live.Launches, live.BusyNS)
+	}
+	if live.AttributedNS > live.BusyNS {
+		t.Errorf("real launch: worker windows %d exceed busy %d", live.AttributedNS, live.BusyNS)
+	}
+	for _, r := range []RowSnap{over, under, live} {
+		if r.AttributedNS > r.MeasuredNS {
+			t.Errorf("%s: attributed %d exceeds measured %d", r.Kernel, r.AttributedNS, r.MeasuredNS)
+		}
 	}
 }
 
@@ -242,19 +259,8 @@ func TestHotPathAllocs(t *testing.T) {
 				t = Next(phA, t)
 				Exit(phB, t)
 			},
-			"launch": func() {
-				ls := LaunchStart()
-				bs := WorkerStart()
-				WorkerEnd(0, bs)
-				LaunchEnd(2, ls)
-			},
-			"nested": func() {
-				ls := LaunchStart()
-				bs := WorkerStart()
-				WorkerEnd(1, bs)
-				LaunchEndNested(2, ls)
-			},
-			"grant": func() { GrantWS(4096) },
+			"launch": func() { Launch(1, noWork) },
+			"grant":  func() { GrantWS(4096) },
 		}
 		for hook, f := range hooks {
 			if n := testing.AllocsPerRun(100, f); n != 0 {
@@ -271,9 +277,7 @@ func TestSetMetricsBridge(t *testing.T) {
 	SetMetrics(reg)
 	Begin("Kern")
 	Exit(phA, Enter())
-	ls := LaunchStart()
-	workerBusy[0].Store(10)
-	LaunchEnd(1, ls)
+	Launch(2, func(int) { spin() })
 
 	var sb strings.Builder
 	if err := reg.WriteSummary(&sb); err != nil {
@@ -328,6 +332,8 @@ func TestDumpSection(t *testing.T) {
 		t.Fatalf("dump lacks the recorded phase:\n%s", sb.String())
 	}
 }
+
+func noWork(int) {}
 
 // spin burns a little CPU so phase windows are strictly positive.
 func spin() {
