@@ -8,7 +8,7 @@ COVER_FLOOR_core   = 88.0
 COVER_FLOOR_faults = 83.0
 COVER_FLOOR_dnn    = 87.0
 
-.PHONY: build test test-e2e bench bench-smoke bench-json benchdiff check cover-gate race fmt lint fuzz-smoke profile-smoke trace-smoke
+.PHONY: build test test-e2e bench bench-smoke bench-json benchdiff check cover-gate race fmt lint fuzz-smoke profile-smoke trace-smoke examples-smoke
 
 # benchdiff compares BENCH_report.json (from bench-json) against the
 # committed baseline. `make check` and CI run it strict
@@ -82,6 +82,17 @@ trace-smoke:
 		-ws 64 -o TRACE_timeline.json -critical-path -stalls
 	$(GO) run ./cmd/ucudnn-trace -check TRACE_timeline.json
 
+# examples-smoke builds the four examples into a temp dir and runs each
+# there (training writes training_metrics.txt and training_trace.json to
+# its working directory); any non-zero exit fails the target.
+examples-smoke:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/" ./examples/... || exit 1; \
+	for ex in quickstart pareto inception_wd training; do \
+		echo "examples-smoke: $$ex"; \
+		(cd "$$dir" && "./$$ex" >/dev/null) || { echo "examples-smoke: $$ex failed"; exit 1; }; \
+	done
+
 # lint runs the ucudnn-lint analyzer suite (detlint, hotpath, wsfloor,
 # metricname, faultpoint, phasename — see DESIGN.md "Static analysis")
 # over the whole module.
@@ -112,9 +123,9 @@ cover-gate:
 
 # race runs the concurrency-sensitive packages (metrics registry, core
 # handle, trace recorder, fault registry, flight recorder, debug server,
-# plus the striped kernel engine and its BLAS and worker-pool layers)
-# under the race detector; the e2e harness runs in -short mode (two
-# networks) to keep the pass affordable.
+# plus the striped kernel engine, its BLAS layer and the cluster
+# all-reduce model) under the race detector; the e2e harness runs in
+# -short mode (two networks) to keep the pass affordable.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/trace/... \
 		./internal/conv/... ./internal/blas/... ./internal/parallel/... ./internal/faults/... \
@@ -127,7 +138,7 @@ fmt:
 
 # check is the pre-commit gate: tier-1 build+test plus vet, formatting,
 # the analyzer suite, the coverage gate, the race pass, the kernel
-# benchmark smoke run, and the fuzz smoke run.
+# benchmark smoke run, the fuzz smoke run, and the examples smoke run.
 check: build
 	$(GO) vet ./...
 	@$(MAKE) --no-print-directory fmt
@@ -139,5 +150,6 @@ check: build
 	@$(MAKE) --no-print-directory fuzz-smoke
 	@$(MAKE) --no-print-directory profile-smoke
 	@$(MAKE) --no-print-directory trace-smoke
+	@$(MAKE) --no-print-directory examples-smoke
 	@$(MAKE) --no-print-directory bench-json
 	@$(MAKE) --no-print-directory benchdiff UCUDNN_BENCHDIFF_STRICT=1

@@ -20,145 +20,120 @@ import (
 	"strings"
 
 	"ucudnn/internal/bench"
-	"ucudnn/internal/core"
-	"ucudnn/internal/debugserver"
 	"ucudnn/internal/device"
-	"ucudnn/internal/faults"
-	"ucudnn/internal/flight"
-	"ucudnn/internal/obs"
-	"ucudnn/internal/prof"
+	"ucudnn/internal/rig"
 	"ucudnn/internal/trace"
 )
 
+// runOpts mirrors the command-line flags run reads.
+type runOpts struct {
+	Exp        string
+	CSV        string
+	Metrics    string
+	Trace      string
+	CPUProfile string
+	MemProfile string
+}
+
 func main() {
-	exp := flag.String("exp", "summary", "experiment name or 'all' ("+strings.Join(bench.Names(), ", ")+")")
+	var o runOpts
+	flag.StringVar(&o.Exp, "exp", "summary", "experiment name or 'all' ("+strings.Join(bench.Names(), ", ")+")")
 	dev := flag.String("device", "p100", "device: k80, p100, v100")
 	batch := flag.Int("batch", 0, "override mini-batch size (0 = experiment default)")
 	iters := flag.Int("iters", 3, "timed iterations")
-	csvPath := flag.String("csv", "", "also write CSV rows to this file")
-	metricsPath := flag.String("metrics", "", "write cumulative µ-cuDNN metrics at exit (\"-\" for stdout, .prom for Prometheus)")
-	tracePath := flag.String("trace", "", "write a Chrome trace of every timed run")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run for go tool pprof")
-	memProfile := flag.String("memprofile", "", "write a heap profile at exit for go tool pprof")
+	flag.StringVar(&o.CSV, "csv", "", "also write CSV rows to this file")
+	flag.StringVar(&o.Metrics, "metrics", "", "write cumulative µ-cuDNN metrics at exit (\"-\" for stdout, .prom for Prometheus)")
+	flag.StringVar(&o.Trace, "trace", "", "write a Chrome trace of every timed run")
+	flag.StringVar(&o.CPUProfile, "cpuprofile", "", "write a CPU profile of the run for go tool pprof")
+	flag.StringVar(&o.MemProfile, "memprofile", "", "write a heap profile at exit for go tool pprof")
 	faultSpec := flag.String("faults", "", "arm a fault-injection schedule, e.g. \"ucudnn_fp_convolve=nth:3;ucudnn_fp_arena_grow=every:2,shrink=4\"")
 	profilePath := flag.String("profile", "", "write a per-phase cost-attribution report at exit (\"-\" for a table on stdout, else JSON)")
 	debugAddr := flag.String("debug-addr", os.Getenv("UCUDNN_DEBUG_ADDR"),
 		"serve /debug/ucudnn/ endpoints on this address, e.g. localhost:6060 (default $UCUDNN_DEBUG_ADDR)")
 	flag.Parse()
-	flight.DumpOnSignal() // SIGQUIT dumps a flight-recorder snapshot to stderr
 
 	d, err := device.ByName(*dev)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	reportFaults := func() {}
-	if *faultSpec != "" {
-		freg, err := faults.Parse(*faultSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		faults.Install(freg)
-		// Disarm and print the fired shots, so any failure under injection
-		// is reproducible from the output alone; called on both the error
-		// exit and the normal one (os.Exit skips defers).
-		reportFaults = func() {
-			faults.Install(nil)
-			fmt.Fprintf(os.Stderr, "faults: schedule %q fired [%s]\n", freg.String(), freg.ShotLog())
-		}
+	s, err := rig.Start(rig.Telemetry{Faults: *faultSpec, Metrics: o.Metrics, DebugAddr: *debugAddr,
+		Profile: *profilePath != "", ProfileOut: *profilePath})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	defer reportFaults()
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	cfg := bench.Config{Device: d, Batch: *batch, Iters: *iters, Out: os.Stdout, Metrics: s.Registry}
+	if err := s.Finish(run(o, cfg)); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run executes the experiments and writes the CSV, metrics, trace and
+// pprof outputs.
+func run(o runOpts, cfg bench.Config) (err error) {
+	if o.CPUProfile != "" {
+		f, err := os.Create(o.CPUProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memProfile != "" {
+	if o.MemProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return
+			}
+			f, ferr := os.Create(o.MemProfile)
+			if ferr != nil {
+				err = ferr
+				return
 			}
 			defer f.Close()
 			runtime.GC() // materialize the steady-state live set
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+			err = pprof.WriteHeapProfile(f)
 		}()
 	}
-	cfg := bench.Config{Device: d, Batch: *batch, Iters: *iters, Out: os.Stdout}
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
+	if o.CSV != "" {
+		f, err := os.Create(o.CSV)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		defer f.Close()
 		cfg.CSV = f
 	}
-	if *metricsPath != "" || *debugAddr != "" {
-		cfg.Metrics = obs.NewRegistry()
-	}
-	if *profilePath != "" {
-		prof.Enable()
-		prof.SetMetrics(cfg.Metrics)
-		defer prof.Disable()
-	}
-	if *tracePath != "" {
+	if o.Trace != "" {
 		cfg.Trace = trace.New()
 	}
-	if *debugAddr != "" {
-		srv, err := debugserver.Start(*debugAddr, cfg.Metrics)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "debug server on http://%s/debug/ucudnn/\n", srv.Addr())
-	}
 
-	names := []string{*exp}
-	if *exp == "all" {
+	names := []string{o.Exp}
+	if o.Exp == "all" {
 		names = bench.Names()
 	}
 	for _, name := range names {
 		if err := bench.Run(name, cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			reportFaults()
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", name, err)
 		}
 	}
-	if err := core.WriteProfileFile(*profilePath); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if cfg.Metrics != nil && *metricsPath != "" {
-		if err := cfg.Metrics.WriteFile(*metricsPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	if o.Metrics != "" {
+		if err := cfg.Metrics.WriteFile(o.Metrics); err != nil {
+			return err
 		}
 	}
 	if cfg.Trace != nil {
-		f, err := os.Create(*tracePath)
+		f, err := os.Create(o.Trace)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		defer f.Close()
 		if err := cfg.Trace.WriteChrome(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 	}
+	return nil
 }

@@ -25,13 +25,9 @@ import (
 	"ucudnn/internal/conv"
 	"ucudnn/internal/core"
 	"ucudnn/internal/cudnn"
-	"ucudnn/internal/debugserver"
 	"ucudnn/internal/device"
-	"ucudnn/internal/dnn"
-	"ucudnn/internal/faults"
-	"ucudnn/internal/flight"
 	"ucudnn/internal/obs"
-	"ucudnn/internal/prof"
+	"ucudnn/internal/rig"
 	"ucudnn/internal/tensor"
 	"ucudnn/internal/trace"
 	"ucudnn/internal/zoo"
@@ -60,7 +56,7 @@ type runOpts struct {
 	Profile   string
 
 	// DebugAddr serves the debugserver endpoints; Registry is the shared
-	// metrics registry backing /debug/ucudnn/metrics when it is set.
+	// metrics registry backing -metrics and /debug/ucudnn/metrics.
 	DebugAddr string
 	Registry  *obs.Registry
 }
@@ -78,7 +74,7 @@ func main() {
 	flag.StringVar(&o.DB, "db", "", "benchmark database file to populate")
 	flag.IntVar(&o.Workers, "workers", 1, "parallel benchmark workers")
 	flag.BoolVar(&o.ShowFront, "front", true, "print the desirable-configuration Pareto front")
-	flag.StringVar(&o.Net, "net", "", "optimize a whole network under WD instead of one kernel (alexnet, resnet18, ...)")
+	flag.StringVar(&o.Net, "net", "", "optimize a whole network under WD instead of one kernel: "+strings.Join(zoo.Names(), ", "))
 	flag.IntVar(&o.Batch, "batch", 256, "mini-batch size for -net mode")
 	flag.Int64Var(&o.TotalMiB, "total", 0, "WD total workspace (MiB; required for -net)")
 	flag.Int64Var(&o.BlobMiB, "blob-budget", 0,
@@ -90,55 +86,18 @@ func main() {
 	flag.StringVar(&o.DebugAddr, "debug-addr", os.Getenv("UCUDNN_DEBUG_ADDR"),
 		"serve /debug/ucudnn/ endpoints on this address, e.g. localhost:6060 (default $UCUDNN_DEBUG_ADDR)")
 	flag.Parse()
-	flight.DumpOnSignal() // SIGQUIT dumps a flight-recorder snapshot to stderr
 
-	report, err := armFaults(o.Faults)
+	s, err := rig.Start(rig.Telemetry{Faults: o.Faults, Metrics: o.Metrics, DebugAddr: o.DebugAddr,
+		Profile: o.Profile != "", ProfileOut: o.Profile})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if o.DebugAddr != "" {
-		o.Registry = obs.NewRegistry()
-		srv, err := debugserver.Start(o.DebugAddr, o.Registry)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "debug server on http://%s/debug/ucudnn/\n", srv.Addr())
-	}
-	if o.Profile != "" {
-		prof.Enable()
-		prof.SetMetrics(o.Registry)
-		defer prof.Disable()
-	}
-	err = run(o)
-	report()
-	if err == nil {
-		err = core.WriteProfileFile(o.Profile)
-	}
-	if err != nil {
+	o.Registry = s.Registry
+	if err := s.Finish(run(o)); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-}
-
-// armFaults installs the fault schedule (if any) and returns a closure
-// that disarms it and prints the fired shots, so any failure under
-// injection is reproducible from the output alone.
-func armFaults(spec string) (func(), error) {
-	if spec == "" {
-		return func() {}, nil
-	}
-	freg, err := faults.Parse(spec)
-	if err != nil {
-		return nil, err
-	}
-	faults.Install(freg)
-	return func() {
-		faults.Install(nil)
-		fmt.Fprintf(os.Stderr, "faults: schedule %q fired [%s]\n", freg.String(), freg.ShotLog())
-	}, nil
 }
 
 func parseDims(s string, n int) ([]int, error) {
@@ -209,12 +168,8 @@ func runKernel(o runOpts) error {
 	}
 	defer cache.Close()
 	b := core.NewBencher(h, cache, o.Workers)
-	reg := o.Registry
-	if reg == nil && o.Metrics != "" {
-		reg = obs.NewRegistry()
-	}
-	if reg != nil {
-		b.SetMetrics(reg)
+	if o.Registry != nil {
+		b.SetMetrics(o.Registry)
 	}
 	k := core.Kernel{Op: op, Shape: cs}
 
@@ -261,71 +216,19 @@ func runKernel(o runOpts) error {
 			return err
 		}
 	}
-	return reg.WriteFile(o.Metrics)
+	return o.Registry.WriteFile(o.Metrics)
 }
 
 // runNet optimizes all convolution kernels of a zoo network jointly under
 // the WD total-workspace budget, printing the paper's §IV-B cost metrics.
 func runNet(o runOpts) error {
-	if o.TotalMiB <= 0 {
-		return fmt.Errorf("-net requires -total")
-	}
-	d, err := device.ByName(o.Device)
+	r, err := rig.Build(rig.Config{Net: o.Net, Batch: o.Batch, Device: o.Device, Backend: cudnn.ModelOnlyBackend,
+		Mode: "wd", Policy: o.Policy, Total: o.TotalMiB << 20, Blob: o.BlobMiB << 20,
+		Cache: o.DB, Workers: o.Workers, MetricsPath: o.Metrics, Metrics: o.Registry})
 	if err != nil {
 		return err
 	}
-	pol, err := core.ParsePolicy(o.Policy)
-	if err != nil {
-		return err
-	}
-	inner := cudnn.NewHandle(d, cudnn.ModelOnlyBackend)
-	inner.Mem().Cap = 0
-
-	// With a blob budget, plan out-of-core streaming against a probe
-	// instance first: the planned working set is then reserved out of the
-	// WD pool, making activations and workspace one joint budget.
-	var oocModel *dnn.OOCModel
-	var oocPlan dnn.OOCPlan
-	if o.BlobMiB > 0 {
-		probeInner := cudnn.NewHandle(d, cudnn.ModelOnlyBackend)
-		probeInner.Mem().Cap = 0
-		probeCtx := dnn.NewContext(probeInner, probeInner, core.DefaultWorkspaceLimit)
-		probeCtx.SkipCompute = true
-		probeNet, err := buildZooNet(probeCtx, o.Net, o.Batch)
-		if err != nil {
-			return err
-		}
-		if err := probeNet.Setup(); err != nil {
-			return fmt.Errorf("probing %s for the blob budget: %w", o.Net, err)
-		}
-		if oocModel, err = dnn.FootprintModel(probeNet); err != nil {
-			return err
-		}
-		if oocPlan, err = dnn.PlanOOC(oocModel, o.BlobMiB<<20); err != nil {
-			return err
-		}
-	}
-
-	opts := []core.Option{core.WithPolicy(pol), core.WithCachePath(o.DB),
-		core.WithWorkers(o.Workers), core.WithMetricsPath(o.Metrics), core.WithMetrics(o.Registry)}
-	total := o.TotalMiB << 20
-	if oocModel != nil {
-		total += oocPlan.PeakBytes
-		opts = append(opts, core.WithBlobReserve(oocPlan.PeakBytes))
-	}
-	uc, err := core.New(inner, append(opts, core.WithWD(total))...)
-	if err != nil {
-		return err
-	}
-	ctx := dnn.NewContext(uc, inner, core.DefaultWorkspaceLimit)
-	ctx.SkipCompute = true
-	if oocModel != nil {
-		ctx.OOC = dnn.NewOOCState(oocModel, oocPlan)
-	}
-	net, err := buildZooNet(ctx, o.Net, o.Batch)
-	if err != nil {
-		return err
-	}
+	uc, net, pol := r.UC, r.Net, r.Policy
 	// Setup registers every convolution kernel through the virtual-algorithm
 	// Get* calls; finalization then runs the desirable-set DPs and the ILP.
 	if err := net.Setup(); err != nil {
@@ -340,7 +243,7 @@ func runNet(o runOpts) error {
 	if s == nil {
 		return fmt.Errorf("WD produced no result for %q", o.Net)
 	}
-	fmt.Printf("%s on %s, N=%d, WD total %d MiB, %s policy\n\n", o.Net, d.Name, o.Batch, o.TotalMiB, pol)
+	fmt.Printf("%s on %s, N=%d, WD total %d MiB, %s policy\n\n", o.Net, r.Inner.Device().Name, o.Batch, o.TotalMiB, pol)
 	fmt.Printf("optimization wall-clock:  %v\n", wall)
 	fmt.Printf("ILP variables:            %d\n", s.ILPVars)
 	fmt.Printf("branch-and-bound nodes:   %d\n", s.ILPNodes)
@@ -352,9 +255,9 @@ func runNet(o runOpts) error {
 		fmt.Printf("joint pool:               %.1f MiB total, %.1f MiB reserved for blobs, %.1f MiB workspace-effective\n",
 			float64(o.TotalMiB<<20+s.BlobReserve)/(1<<20), float64(s.BlobReserve)/(1<<20), float64(s.EffectiveBudget)/(1<<20))
 	}
-	if oocModel != nil {
+	if p := r.OOC; p != nil {
 		fmt.Printf("OOC plan:                 chunk %d (%d windows), peak %.1f MiB, floor=%v\n",
-			oocPlan.Chunk, oocPlan.Windows, float64(oocPlan.PeakBytes)/(1<<20), oocPlan.Floor)
+			p.Chunk, p.Windows, float64(p.PeakBytes)/(1<<20), p.Floor)
 	}
 
 	plans := uc.Plans()
@@ -365,37 +268,12 @@ func runNet(o runOpts) error {
 	}
 
 	if o.Trace != "" {
-		b := core.NewBencher(inner, uc.Cache(), 1)
+		b := core.NewBencher(r.Inner, uc.Cache(), 1)
 		if err := writePlanTrace(o.Trace, b, plans); err != nil {
 			return err
 		}
 	}
 	return uc.Flush()
-}
-
-// buildZooNet constructs the named zoo network over ctx (loss head
-// discarded: optimization only needs the kernel registrations).
-func buildZooNet(ctx *dnn.Context, name string, batch int) (*dnn.Net, error) {
-	switch name {
-	case "alexnet":
-		net, _ := zoo.AlexNet(ctx, batch, 1000)
-		return net, nil
-	case "caffe-alexnet":
-		net, _ := zoo.CaffeAlexNet(ctx, batch, 1000)
-		return net, nil
-	case "resnet18":
-		net, _ := zoo.ResNet18(ctx, batch, 1000)
-		return net, nil
-	case "resnet50":
-		net, _ := zoo.ResNet50(ctx, batch, 1000)
-		return net, nil
-	case "densenet40":
-		net, _ := zoo.DenseNet40(ctx, batch, 40, 10)
-		return net, nil
-	case "inception":
-		return zoo.InceptionModule(ctx, batch), nil
-	}
-	return nil, fmt.Errorf("unknown network %q", name)
 }
 
 // writePlanTrace synthesizes the paper's Fig. 3 view of the chosen plans:

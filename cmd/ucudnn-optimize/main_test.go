@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ucudnn/internal/obs"
 )
 
 func kernelOpts(shape, filter string, pad, stride int, op, dev, policy string, ws int64, db string, workers int, front bool) runOpts {
@@ -78,6 +82,7 @@ func TestRunKernelMetricsAndTrace(t *testing.T) {
 	dir := t.TempDir()
 	o := kernelOpts("16x8x13x13", "12x3x3", 1, 1, "forward", "p100", "powerOfTwo", 8, "", 1, true)
 	o.Metrics = filepath.Join(dir, "m.prom")
+	o.Registry = obs.NewRegistry()
 	o.Trace = filepath.Join(dir, "t.json")
 	if err := run(o); err != nil {
 		t.Fatal(err)
@@ -116,5 +121,43 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run(runOpts{Net: "nonesuch", Batch: 8, TotalMiB: 64, Device: "p100", Policy: "powerOfTwo"}); err == nil {
 		t.Fatal("bogus -net must error")
+	}
+}
+
+// TestMain lets the test binary stand in for the command: started as
+// `<test binary> ucudnn-optimize <flags>`, it runs main.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "ucudnn-optimize" {
+		os.Args = os.Args[1:]
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// An armed fault schedule's fired-shot log is printed exactly once on
+// every exit path: success, a failed run, and a profile report
+// that cannot be written after the run succeeds.
+func TestFaultLogOnEveryExit(t *testing.T) {
+	bad := filepath.Join(t.TempDir(), "missing", "x.json")
+	for _, c := range []struct {
+		args []string
+		exit int
+	}{
+		{[]string{"-shape", "16x8x13x13", "-filter", "12x3x3", "-pad", "1", "-ws", "8"}, 0},
+		{[]string{"-op", "sideways"}, 1},
+		{[]string{"-shape", "16x8x13x13", "-filter", "12x3x3", "-pad", "1", "-ws", "8", "-profile", bad}, 1},
+	} {
+		args := append([]string{"ucudnn-optimize", "-faults", "ucudnn_fp_arena_grow=every:2,shrink=4"}, c.args...)
+		cmd := exec.Command(os.Args[0], args...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		if code := cmd.ProcessState.ExitCode(); code != c.exit {
+			t.Fatalf("%v: exit %d (%v), want %d:\n%s", c.args, code, err, c.exit, stderr.String())
+		}
+		if n := strings.Count(stderr.String(), "faults: schedule"); n != 1 {
+			t.Fatalf("%v: fault log printed %d times:\n%s", c.args, n, stderr.String())
+		}
 	}
 }

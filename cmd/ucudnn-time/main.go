@@ -15,17 +15,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
-	"ucudnn/internal/core"
 	"ucudnn/internal/cudnn"
-	"ucudnn/internal/debugserver"
-	"ucudnn/internal/device"
-	"ucudnn/internal/dnn"
-	"ucudnn/internal/faults"
-	"ucudnn/internal/flight"
 	"ucudnn/internal/obs"
-	"ucudnn/internal/prof"
-	"ucudnn/internal/tensor"
+	"ucudnn/internal/rig"
 	"ucudnn/internal/trace"
 	"ucudnn/internal/zoo"
 )
@@ -48,14 +42,14 @@ type runOpts struct {
 	Profile  string
 
 	// DebugAddr serves the debugserver endpoints; Registry is the shared
-	// metrics registry backing /debug/ucudnn/metrics when it is set.
+	// metrics registry backing -metrics and /debug/ucudnn/metrics.
 	DebugAddr string
 	Registry  *obs.Registry
 }
 
 func main() {
 	var o runOpts
-	flag.StringVar(&o.Net, "net", "alexnet", "network: alexnet, resnet18, resnet50, densenet40, inception")
+	flag.StringVar(&o.Net, "net", "alexnet", "network: "+strings.Join(zoo.Names(), ", "))
 	flag.IntVar(&o.Batch, "batch", 256, "mini-batch size")
 	flag.StringVar(&o.Device, "device", "p100", "device: k80, p100, v100")
 	flag.StringVar(&o.Mode, "mode", "wr", "mode: cudnn, wr, wd")
@@ -73,145 +67,36 @@ func main() {
 	flag.StringVar(&o.DebugAddr, "debug-addr", os.Getenv("UCUDNN_DEBUG_ADDR"),
 		"serve /debug/ucudnn/ endpoints on this address, e.g. localhost:6060 (default $UCUDNN_DEBUG_ADDR)")
 	flag.Parse()
-	flight.DumpOnSignal() // SIGQUIT dumps a flight-recorder snapshot to stderr
 
-	report, err := armFaults(o.Faults)
+	s, err := rig.Start(rig.Telemetry{Faults: o.Faults, Metrics: o.Metrics, DebugAddr: o.DebugAddr,
+		Profile: o.Profile != "", ProfileOut: o.Profile})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if o.DebugAddr != "" {
-		o.Registry = obs.NewRegistry()
-		srv, err := debugserver.Start(o.DebugAddr, o.Registry)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "debug server on http://%s/debug/ucudnn/\n", srv.Addr())
-	}
-	err = run(o)
-	report()
-	if err != nil {
+	o.Registry = s.Registry
+	if err := s.Finish(run(o)); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-}
-
-// armFaults installs the fault schedule (if any) and returns a closure
-// that disarms it and prints the fired shots, so any failure under
-// injection is reproducible from the output alone.
-func armFaults(spec string) (func(), error) {
-	if spec == "" {
-		return func() {}, nil
-	}
-	freg, err := faults.Parse(spec)
-	if err != nil {
-		return nil, err
-	}
-	faults.Install(freg)
-	return func() {
-		faults.Install(nil)
-		fmt.Fprintf(os.Stderr, "faults: schedule %q fired [%s]\n", freg.String(), freg.ShotLog())
-	}, nil
 }
 
 func run(o runOpts) error {
-	d, err := device.ByName(o.Device)
-	if err != nil {
-		return err
-	}
-	pol, err := core.ParsePolicy(o.Policy)
-	if err != nil {
-		return err
-	}
 	// Phase profiling needs the kernels to actually run, so -profile
 	// trades the model-only fast path for real compute.
 	backend := cudnn.ModelOnlyBackend
 	if o.Profile != "" {
 		backend = cudnn.ModelBackend
-		prof.Enable()
-		prof.SetMetrics(o.Registry)
-		defer prof.Disable()
 	}
-	// Out-of-core streaming plans against a probe instance of the network
-	// (shapes only, no compute): footprint model in, window plan out.
-	var oocModel *dnn.OOCModel
-	var oocPlan dnn.OOCPlan
-	if o.BlobMiB > 0 {
-		probeInner := cudnn.NewHandle(d, cudnn.ModelOnlyBackend)
-		probeInner.Mem().Cap = 0
-		probeCtx := dnn.NewContext(probeInner, probeInner, o.WSMiB<<20)
-		probeCtx.SkipCompute = true
-		probeNet, _, err := buildNet(probeCtx, o.Net, o.Batch)
-		if err != nil {
-			return err
-		}
-		if err := probeNet.Setup(); err != nil {
-			return fmt.Errorf("probing %s for the blob budget: %w", o.Net, err)
-		}
-		if oocModel, err = dnn.FootprintModel(probeNet); err != nil {
-			return err
-		}
-		if oocPlan, err = dnn.PlanOOC(oocModel, o.BlobMiB<<20); err != nil {
-			return err
-		}
-	}
-
-	inner := cudnn.NewHandle(d, backend)
-	inner.Mem().Cap = 0
-	var convH dnn.ConvHandle = inner
-	var uc *core.Handle
-	switch o.Mode {
-	case "cudnn":
-	case "wr":
-		uc, err = core.New(inner, core.WithPolicy(pol), core.WithWorkspaceLimit(o.WSMiB<<20),
-			core.WithCachePath(o.DB), core.WithMetricsPath(o.Metrics), core.WithMetrics(o.Registry))
-		if err != nil {
-			return err
-		}
-		convH = uc
-	case "wd":
-		if o.TotalMiB <= 0 {
-			return fmt.Errorf("-mode wd requires -total")
-		}
-		opts := []core.Option{core.WithPolicy(pol), core.WithCachePath(o.DB),
-			core.WithMetricsPath(o.Metrics), core.WithMetrics(o.Registry)}
-		total := o.TotalMiB << 20
-		if oocModel != nil {
-			// One joint pool: the planned blob working set is reserved out
-			// of the WD budget, so workspace and activations trade off
-			// against each other instead of competing unaccounted.
-			total += oocPlan.PeakBytes
-			opts = append(opts, core.WithBlobReserve(oocPlan.PeakBytes))
-		}
-		uc, err = core.New(inner, append(opts, core.WithWD(total))...)
-		if err != nil {
-			return err
-		}
-		convH = uc
-	default:
-		return fmt.Errorf("unknown mode %q", o.Mode)
-	}
-	if o.Metrics != "" && uc == nil {
-		fmt.Fprintln(os.Stderr, "ucudnn-time: -metrics needs -mode wr or wd; ignoring")
-	}
-
-	ctx := dnn.NewContext(convH, inner, o.WSMiB<<20)
-	ctx.SkipCompute = o.Profile == ""
-	if oocModel != nil {
-		ctx.OOC = dnn.NewOOCState(oocModel, oocPlan)
-	}
-	net, loss, err := buildNet(ctx, o.Net, o.Batch)
+	r, err := rig.Build(rig.Config{Net: o.Net, Batch: o.Batch, Device: o.Device, Backend: backend,
+		Mode: o.Mode, Policy: o.Policy, WS: o.WSMiB << 20, Total: o.TotalMiB << 20, Blob: o.BlobMiB << 20,
+		Cache: o.DB, MetricsPath: o.Metrics, Metrics: o.Registry})
 	if err != nil {
 		return err
 	}
-	if !ctx.SkipCompute && loss != nil {
-		// Real compute runs the loss layer too; give it a label per sample.
-		loss.Labels = make([]int, o.Batch)
-		for i := range loss.Labels {
-			loss.Labels[i] = i % 10
-		}
+	uc, net := r.UC, r.Net
+	if o.Metrics != "" && uc == nil {
+		fmt.Fprintln(os.Stderr, "ucudnn-time: -metrics needs -mode wr or wd; ignoring")
 	}
 
 	rep, err := net.Time(o.Iters)
@@ -223,16 +108,16 @@ func run(o runOpts) error {
 		// already decided, so no warm-up runs): kernel spans on track 0
 		// (cudnn handle), layer spans on track 1 (Net).
 		rec := trace.New()
-		inner.SetTrace(rec)
-		ctx.Trace = rec
+		r.Inner.SetTrace(rec)
+		r.Ctx.Trace = rec
 		if err := net.Forward(); err != nil {
 			return err
 		}
 		if err := net.Backward(); err != nil {
 			return err
 		}
-		inner.SetTrace(nil)
-		ctx.Trace = nil
+		r.Inner.SetTrace(nil)
+		r.Ctx.Trace = nil
 		f, err := os.Create(o.Trace)
 		if err != nil {
 			return err
@@ -244,7 +129,7 @@ func run(o runOpts) error {
 		fmt.Printf("wrote %d trace events to %s (open in chrome://tracing)\n", rec.Len(), o.Trace)
 	}
 	fmt.Printf("%s on %s, N=%d, mode=%s policy=%s (%d iterations)\n\n",
-		o.Net, d.Name, o.Batch, o.Mode, pol, o.Iters)
+		o.Net, r.Inner.Device().Name, o.Batch, o.Mode, r.Policy, o.Iters)
 	rep.Print(os.Stdout)
 	fmt.Printf("\nconvolutions: %v (%.1f%% of iteration)\n",
 		rep.SumMatching(zoo.IsConvLayer),
@@ -259,44 +144,15 @@ func run(o runOpts) error {
 			return err
 		}
 	}
-	if ooc := ctx.OOC; ooc != nil {
-		r := ooc.Report()
+	if ooc := r.Ctx.OOC; ooc != nil {
+		rep := ooc.Report()
 		fmt.Printf("OOC: budget %s MiB, chunk %d (%d windows), peak %s MiB, floor=%v, degraded=%d\n",
-			fmtMiB(oocPlan.Budget), r.Chunk, r.Windows, fmtMiB(oocPlan.PeakBytes), r.Floor, r.Degraded)
+			fmtMiB(r.OOC.Budget), rep.Chunk, rep.Windows, fmtMiB(r.OOC.PeakBytes), rep.Floor, rep.Degraded)
 		if err := ooc.Metrics().WriteSummary(os.Stdout); err != nil {
 			return err
 		}
 	}
-	if err := core.WriteProfileFile(o.Profile); err != nil {
-		return err
-	}
-	_ = tensor.Shape{}
 	return nil
-}
-
-// buildNet constructs the named zoo network (with its loss head where the
-// zoo defines one) over ctx.
-func buildNet(ctx *dnn.Context, name string, batch int) (*dnn.Net, *dnn.SoftmaxLoss, error) {
-	switch name {
-	case "alexnet":
-		net, loss := zoo.AlexNet(ctx, batch, 1000)
-		return net, loss, nil
-	case "caffe-alexnet":
-		net, loss := zoo.CaffeAlexNet(ctx, batch, 1000)
-		return net, loss, nil
-	case "resnet18":
-		net, loss := zoo.ResNet18(ctx, batch, 1000)
-		return net, loss, nil
-	case "resnet50":
-		net, loss := zoo.ResNet50(ctx, batch, 1000)
-		return net, loss, nil
-	case "densenet40":
-		net, loss := zoo.DenseNet40(ctx, batch, 40, 10)
-		return net, loss, nil
-	case "inception":
-		return zoo.InceptionModule(ctx, batch), nil, nil
-	}
-	return nil, nil, fmt.Errorf("unknown network %q", name)
 }
 
 func fmtMiB(b int64) string { return fmt.Sprintf("%.1f", float64(b)/(1<<20)) }

@@ -1,11 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ucudnn/internal/zoo"
 )
 
 func opts(net string, batch int, dev, mode, policy string, ws, total int64, iters int, db, tracePath string) runOpts {
@@ -119,9 +123,47 @@ func TestRunErrors(t *testing.T) {
 }
 
 func TestAllNetworksBuild(t *testing.T) {
-	for _, n := range []string{"alexnet", "caffe-alexnet", "resnet18", "densenet40"} {
+	for _, n := range zoo.Names() {
 		if err := run(opts(n, 4, "p100", "cudnn", "powerOfTwo", 8, 0, 1, "", "")); err != nil {
 			t.Fatalf("%s: %v", n, err)
+		}
+	}
+}
+
+// TestMain lets the test binary stand in for the command: started as
+// `<test binary> ucudnn-time <flags>`, it runs main.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "ucudnn-time" {
+		os.Args = os.Args[1:]
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// An armed fault schedule's fired-shot log is printed exactly once on
+// every exit path: success, a failed run, and a profile report
+// that cannot be written after the run succeeds.
+func TestFaultLogOnEveryExit(t *testing.T) {
+	bad := filepath.Join(t.TempDir(), "missing", "x.json")
+	for _, c := range []struct {
+		args []string
+		exit int
+	}{
+		{[]string{"-net", "inception", "-batch", "8", "-iters", "1"}, 0},
+		{[]string{"-net", "bogus"}, 1},
+		{[]string{"-net", "inception", "-batch", "8", "-iters", "1", "-profile", bad}, 1},
+	} {
+		args := append([]string{"ucudnn-time", "-faults", "ucudnn_fp_arena_grow=every:2,shrink=4"}, c.args...)
+		cmd := exec.Command(os.Args[0], args...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		if code := cmd.ProcessState.ExitCode(); code != c.exit {
+			t.Fatalf("%v: exit %d (%v), want %d:\n%s", c.args, code, err, c.exit, stderr.String())
+		}
+		if n := strings.Count(stderr.String(), "faults: schedule"); n != 1 {
+			t.Fatalf("%v: fault log printed %d times:\n%s", c.args, n, stderr.String())
 		}
 	}
 }

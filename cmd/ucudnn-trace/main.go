@@ -21,15 +21,11 @@ import (
 
 	"ucudnn/internal/causal"
 	"ucudnn/internal/conv"
-	"ucudnn/internal/core"
 	"ucudnn/internal/cudnn"
-	"ucudnn/internal/debugserver"
-	"ucudnn/internal/device"
-	"ucudnn/internal/dnn"
-	"ucudnn/internal/faults"
 	"ucudnn/internal/flight"
 	"ucudnn/internal/obs"
 	"ucudnn/internal/prof"
+	"ucudnn/internal/rig"
 	"ucudnn/internal/trace"
 	"ucudnn/internal/zoo"
 )
@@ -66,7 +62,7 @@ type runOpts struct {
 
 func main() {
 	var o runOpts
-	flag.StringVar(&o.Net, "net", "alexnet", "network: alexnet, caffe-alexnet, resnet18, resnet50, densenet40, inception")
+	flag.StringVar(&o.Net, "net", "alexnet", "network: "+strings.Join(zoo.Names(), ", "))
 	flag.IntVar(&o.Batch, "batch", 64, "mini-batch size")
 	flag.StringVar(&o.Device, "device", "p100", "device: k80, p100, v100")
 	flag.StringVar(&o.Mode, "mode", "wr", "mode: cudnn, wr, wd")
@@ -87,7 +83,6 @@ func main() {
 	flag.StringVar(&o.DebugAddr, "debug-addr", os.Getenv("UCUDNN_DEBUG_ADDR"),
 		"serve /debug/ucudnn/ endpoints (incl. /timeline) on this address (default $UCUDNN_DEBUG_ADDR)")
 	flag.Parse()
-	flight.DumpOnSignal()
 
 	if o.Check != "" {
 		if err := check(o.Check, os.Stdout); err != nil {
@@ -97,26 +92,13 @@ func main() {
 		return
 	}
 
-	report, err := armFaults(o.Faults)
+	s, err := rig.Start(rig.Telemetry{Faults: o.Faults, Metrics: o.Metrics, DebugAddr: o.DebugAddr, Profile: o.Profile})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if o.Metrics != "" || o.DebugAddr != "" {
-		o.Registry = obs.NewRegistry()
-	}
-	if o.DebugAddr != "" {
-		srv, err := debugserver.Start(o.DebugAddr, o.Registry)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "debug server on http://%s/debug/ucudnn/\n", srv.Addr())
-	}
-	err = run(o, os.Stdout)
-	report()
-	if err != nil {
+	o.Registry = s.Registry
+	if err := s.Finish(run(o, os.Stdout)); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -155,115 +137,24 @@ func check(path string, w io.Writer) error {
 	return nil
 }
 
-// armFaults installs the fault schedule (if any) and returns a closure
-// that disarms it and prints the fired shots.
-func armFaults(spec string) (func(), error) {
-	if spec == "" {
-		return func() {}, nil
-	}
-	freg, err := faults.Parse(spec)
-	if err != nil {
-		return nil, err
-	}
-	faults.Install(freg)
-	return func() {
-		faults.Install(nil)
-		fmt.Fprintf(os.Stderr, "faults: schedule %q fired [%s]\n", freg.String(), freg.ShotLog())
-	}, nil
-}
-
 func run(o runOpts, w io.Writer) error {
-	d, err := device.ByName(o.Device)
-	if err != nil {
-		return err
-	}
-	pol, err := core.ParsePolicy(o.Policy)
-	if err != nil {
-		return err
-	}
 	if o.Workers > 0 {
 		prev := conv.SetMaxWorkers(o.Workers)
 		defer conv.SetMaxWorkers(prev)
 	}
+	// Launch accounting needs the kernels to actually run; the simulated
+	// clock (and so the timeline) stays deterministic.
 	backend := cudnn.ModelOnlyBackend
 	if o.Profile {
-		// Launch accounting needs the kernels to actually run; the
-		// simulated clock (and so the timeline) stays deterministic.
 		backend = cudnn.ModelBackend
-		prof.Enable()
-		prof.SetMetrics(o.Registry)
-		defer prof.Disable()
 	}
-
-	var oocModel *dnn.OOCModel
-	var oocPlan dnn.OOCPlan
-	if o.BlobMiB > 0 {
-		probeInner := cudnn.NewHandle(d, cudnn.ModelOnlyBackend)
-		probeInner.Mem().Cap = 0
-		probeCtx := dnn.NewContext(probeInner, probeInner, o.WSMiB<<20)
-		probeCtx.SkipCompute = true
-		probeNet, _, err := buildNet(probeCtx, o.Net, o.Batch)
-		if err != nil {
-			return err
-		}
-		if err := probeNet.Setup(); err != nil {
-			return fmt.Errorf("probing %s for the blob budget: %w", o.Net, err)
-		}
-		if oocModel, err = dnn.FootprintModel(probeNet); err != nil {
-			return err
-		}
-		if oocPlan, err = dnn.PlanOOC(oocModel, o.BlobMiB<<20); err != nil {
-			return err
-		}
-	}
-
-	inner := cudnn.NewHandle(d, backend)
-	inner.Mem().Cap = 0
-	var convH dnn.ConvHandle = inner
-	var uc *core.Handle
-	switch o.Mode {
-	case "cudnn":
-	case "wr":
-		uc, err = core.New(inner, core.WithPolicy(pol), core.WithWorkspaceLimit(o.WSMiB<<20),
-			core.WithMetrics(o.Registry))
-		if err != nil {
-			return err
-		}
-		convH = uc
-	case "wd":
-		if o.TotalMiB <= 0 {
-			return fmt.Errorf("-mode wd requires -total")
-		}
-		opts := []core.Option{core.WithPolicy(pol), core.WithMetrics(o.Registry)}
-		total := o.TotalMiB << 20
-		if oocModel != nil {
-			total += oocPlan.PeakBytes
-			opts = append(opts, core.WithBlobReserve(oocPlan.PeakBytes))
-		}
-		uc, err = core.New(inner, append(opts, core.WithWD(total))...)
-		if err != nil {
-			return err
-		}
-		convH = uc
-	default:
-		return fmt.Errorf("unknown mode %q", o.Mode)
-	}
-
-	ctx := dnn.NewContext(convH, inner, o.WSMiB<<20)
-	ctx.SkipCompute = !o.Profile
-	if oocModel != nil {
-		ctx.OOC = dnn.NewOOCState(oocModel, oocPlan)
-	}
-	net, loss, err := buildNet(ctx, o.Net, o.Batch)
+	r, err := rig.Build(rig.Config{Net: o.Net, Batch: o.Batch, Device: o.Device, Backend: backend,
+		Mode: o.Mode, Policy: o.Policy, WS: o.WSMiB << 20, Total: o.TotalMiB << 20, Blob: o.BlobMiB << 20,
+		Metrics: o.Registry})
 	if err != nil {
 		return err
 	}
-	if !ctx.SkipCompute && loss != nil {
-		loss.Labels = make([]int, o.Batch)
-		for i := range loss.Labels {
-			loss.Labels[i] = i % 10
-		}
-	}
+	uc, net, ctx := r.UC, r.Net, r.Ctx
 
 	// Warm-up pass: plans get decided and arenas settle, so the traced
 	// iterations see steady state.
@@ -277,14 +168,11 @@ func run(o runOpts, w io.Writer) error {
 	rec := trace.New()
 	// Attach through the core handle when there is one so the debug
 	// server's /debug/ucudnn/timeline endpoint sees the recorder too.
-	setRec := func(r *trace.Recorder) {
-		if uc != nil {
-			uc.SetTraceRecorder(r)
-		} else {
-			inner.SetTrace(r)
-		}
+	if uc != nil {
+		uc.SetTraceRecorder(rec)
+	} else {
+		r.Inner.SetTrace(rec)
 	}
-	setRec(rec)
 	ctx.Trace = rec
 	for i := 0; i < o.Iters; i++ {
 		if err := net.RunIteration(); err != nil {
@@ -363,28 +251,4 @@ func busyByLayer(enabled bool) map[string]float64 {
 		}
 	}
 	return busy
-}
-
-// buildNet constructs the named zoo network over ctx.
-func buildNet(ctx *dnn.Context, name string, batch int) (*dnn.Net, *dnn.SoftmaxLoss, error) {
-	switch name {
-	case "alexnet":
-		net, loss := zoo.AlexNet(ctx, batch, 1000)
-		return net, loss, nil
-	case "caffe-alexnet":
-		net, loss := zoo.CaffeAlexNet(ctx, batch, 1000)
-		return net, loss, nil
-	case "resnet18":
-		net, loss := zoo.ResNet18(ctx, batch, 1000)
-		return net, loss, nil
-	case "resnet50":
-		net, loss := zoo.ResNet50(ctx, batch, 1000)
-		return net, loss, nil
-	case "densenet40":
-		net, loss := zoo.DenseNet40(ctx, batch, 40, 10)
-		return net, loss, nil
-	case "inception":
-		return zoo.InceptionModule(ctx, batch), nil, nil
-	}
-	return nil, nil, fmt.Errorf("unknown network %q", name)
 }

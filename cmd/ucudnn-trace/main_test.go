@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -159,5 +160,40 @@ func TestCheckRejectsCorrupt(t *testing.T) {
 	}
 	if err := check(filepath.Join(dir, "missing.json"), &buf); err == nil {
 		t.Fatal("check accepted a missing file")
+	}
+}
+
+// TestMain lets the test binary stand in for the command: started as
+// `<test binary> ucudnn-trace <flags>`, it runs main.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "ucudnn-trace" {
+		os.Args = os.Args[1:]
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// An armed fault schedule's fired-shot log is printed exactly once on
+// every exit path: success and a failed run.
+func TestFaultLogOnEveryExit(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		exit int
+	}{
+		{[]string{"-net", "inception", "-batch", "8", "-iters", "1"}, 0},
+		{[]string{"-net", "bogus"}, 1},
+	} {
+		args := append([]string{"ucudnn-trace", "-faults", "ucudnn_fp_arena_grow=every:2,shrink=4"}, c.args...)
+		cmd := exec.Command(os.Args[0], args...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		if code := cmd.ProcessState.ExitCode(); code != c.exit {
+			t.Fatalf("%v: exit %d (%v), want %d:\n%s", c.args, code, err, c.exit, stderr.String())
+		}
+		if n := strings.Count(stderr.String(), "faults: schedule"); n != 1 {
+			t.Fatalf("%v: fault log printed %d times:\n%s", c.args, n, stderr.String())
+		}
 	}
 }

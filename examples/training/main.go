@@ -166,12 +166,17 @@ func trainOutOfCore() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	capBytes := model.ActivationBytes() * 3 / 4
+	// The cap leaves room for everything but the activations (parameters
+	// and the GEMM workspaces, which grow with the kernel worker count)
+	// plus three quarters of the activations.
+	act := model.ActivationBytes()
+	capBytes := probe.Mem().Used() - act + act*3/4
 	fmt.Printf("undivided activations %.1f KiB; device capped at %.1f KiB\n",
-		float64(model.ActivationBytes())/(1<<10), float64(capBytes)/(1<<10))
+		float64(act)/(1<<10), float64(capBytes)/(1<<10))
 
 	// Undivided training cannot even allocate its blobs under the cap.
 	small := cudnn.NewHandle(device.P100, cudnn.ModelBackend)
+	small.SetAlgoFilter(gemmOnly)
 	small.Mem().Cap = capBytes
 	failNet, _ := buildNet(dnn.NewContext(small, small, 1<<20))
 	if err := failNet.Setup(); err == nil {
@@ -185,8 +190,8 @@ func trainOutOfCore() {
 	ref.SetAlgoFilter(gemmOnly)
 	refHist := train("ref", ref, ref, nil, nil)
 
-	// Out-of-core run: half the cap as the blob budget.
-	plan, err := dnn.PlanOOC(model, capBytes/2)
+	// Out-of-core run: three eighths of the activations as the blob budget.
+	plan, err := dnn.PlanOOC(model, act*3/8)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"ucudnn/internal/conv"
 	"ucudnn/internal/core"
+	"ucudnn/internal/rig"
 )
 
 // Ablation quantifies the design choices behind WD's tractability
@@ -57,16 +58,14 @@ func Ablation(cfg Config) error {
 	// Count total kernels by re-walking the network's conv layers: every
 	// layer contributes Forward+BackwardFilter (+BackwardData unless it is
 	// the stem).
-	inner := newModelHandle(cfg)
-	inner.Mem().Cap = 0
-	net, err := buildNetwork("resnet50", inner, inner, 8*MiB, 32, nil)
+	r, err := rig.Build(recipe(cfg, "resnet50", "cudnn", core.PolicyUndivided, 8*MiB, 32))
 	if err != nil {
 		return err
 	}
-	if err := net.Setup(); err != nil {
+	if err := r.Net.Setup(); err != nil {
 		return err
 	}
-	totalKernels := 3*len(net.ConvLayers()) - 1
+	totalKernels := 3*len(r.Net.ConvLayers()) - 1
 	t2 := newTable(cfg, "Ablation: WD kernel deduplication (ResNet-50, N=32)",
 		"total_kernels", "unique_kernels", "dedup_factor")
 	t2.row(fmt.Sprintf("%d", totalKernels), fmt.Sprintf("%d", unique),

@@ -5,7 +5,7 @@ import (
 
 	"ucudnn/internal/core"
 	"ucudnn/internal/dnn"
-	"ucudnn/internal/zoo"
+	"ucudnn/internal/rig"
 )
 
 // Concurrency is an extension experiment backing the paper's §III-A
@@ -31,35 +31,15 @@ func Concurrency(cfg Config) error {
 
 	// WR with equal per-kernel slices (17 kernels in the module).
 	build := func(name, mode string, limit int64, policy core.Policy) error {
-		inner := newModelHandle(cfg)
-		inner.Mem().Cap = 0
-		var convH dnn.ConvHandle = inner
-		ctxLimit := limit
-		if mode != "cudnn" {
-			var opts []core.Option
-			opts = append(opts, core.WithPolicy(policy))
-			if mode == "wd" {
-				opts = append(opts, core.WithWD(limit))
-				// WD ignores per-kernel limits; the framework-side value is
-				// only what Caffe would pass through.
-				ctxLimit = core.DefaultWorkspaceLimit
-			} else {
-				opts = append(opts, core.WithWorkspaceLimit(limit))
-			}
-			uc, err := core.New(inner, opts...)
-			if err != nil {
-				return err
-			}
-			convH = uc
-		}
-		ctx := dnn.NewContext(convH, inner, ctxLimit)
-		ctx.SkipCompute = true
-		net := zoo.InceptionModule(ctx, batch)
-		rep, err := net.Time(cfg.Iters)
+		r, err := rig.Build(recipe(cfg, "inception", mode, policy, limit, batch))
 		if err != nil {
 			return err
 		}
-		runs = append(runs, run{name: name, net: net, rep: rep})
+		rep, err := r.Net.Time(cfg.Iters)
+		if err != nil {
+			return err
+		}
+		runs = append(runs, run{name: name, net: r.Net, rep: rep})
 		return nil
 	}
 	kernels := int64(17) // 6 conv layers x 3 kernels - 1 (no input grad)

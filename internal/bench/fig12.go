@@ -6,6 +6,7 @@ import (
 	"ucudnn/internal/conv"
 	"ucudnn/internal/core"
 	"ucudnn/internal/dnn"
+	"ucudnn/internal/rig"
 )
 
 // layerMem is the per-layer memory decomposition of Fig. 12.
@@ -24,21 +25,11 @@ func (m layerMem) total() int64 { return m.params + m.activation + m.workspace }
 // from the optimized plans rather than the (zero) sizes reported through
 // the cuDNN interface.
 func collectLayerMem(cfg Config, network string, mode string, limit int64, batch int) ([]layerMem, error) {
-	inner := newModelHandle(cfg)
-	var convH dnn.ConvHandle = inner
-	var uc *core.Handle
-	var err error
-	if mode == "ucudnn" {
-		uc, err = core.New(inner, core.WithPolicy(core.PolicyPowerOfTwo), core.WithWorkspaceLimit(limit))
-		if err != nil {
-			return nil, err
-		}
-		convH = uc
-	}
-	net, err := buildNetwork(network, convH, inner, limit, batch, nil)
+	r, err := rig.Build(recipe(cfg, network, mode, core.PolicyPowerOfTwo, limit, batch))
 	if err != nil {
 		return nil, err
 	}
+	net, uc := r.Net, r.UC
 	if _, err := net.Time(1); err != nil {
 		return nil, err
 	}
@@ -107,7 +98,7 @@ func Fig12(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		opt, err := collectLayerMem(cfg, n.name, "ucudnn", 64*MiB, batch)
+		opt, err := collectLayerMem(cfg, n.name, "wr", 64*MiB, batch)
 		if err != nil {
 			return err
 		}

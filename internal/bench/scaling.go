@@ -6,6 +6,7 @@ import (
 
 	"ucudnn/internal/core"
 	"ucudnn/internal/parallel"
+	"ucudnn/internal/rig"
 )
 
 // Scaling is an extension experiment beyond the paper's figures,
@@ -42,16 +43,14 @@ func Scaling(cfg Config) error {
 		variants = append(variants, variant{name: v.name, fwd: rep.TotalForward(), bwd: rep.TotalBackward()})
 		if gradBytes == 0 {
 			// Gradient volume = parameter bytes (~61M floats for AlexNet).
-			inner := newModelHandle(cfg)
-			inner.Mem().Cap = 0
-			net, err := buildNetwork("alexnet", inner, inner, 64*MiB, batch, nil)
+			r, err := rig.Build(recipe(cfg, "alexnet", "cudnn", core.PolicyUndivided, 64*MiB, batch))
 			if err != nil {
 				return err
 			}
-			if err := net.Setup(); err != nil {
+			if err := r.Net.Setup(); err != nil {
 				return err
 			}
-			for _, p := range net.Params() {
+			for _, p := range r.Net.Params() {
 				gradBytes += int64(len(p.Data)) * 4
 			}
 		}

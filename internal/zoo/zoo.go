@@ -18,6 +18,44 @@ import (
 // IsConvLayer reports whether a layer name denotes a convolution.
 func IsConvLayer(name string) bool { return strings.Contains(name, "conv") }
 
+// networks lists the zoo by name at the configurations the paper
+// evaluates (ImageNet heads of 1000 classes, DenseNet-40 with k=40 on
+// CIFAR-10); the order is the one Names reports.
+var networks = []struct {
+	name  string
+	build func(ctx *dnn.Context, batch int) (*dnn.Net, *dnn.SoftmaxLoss)
+}{
+	{"alexnet", func(ctx *dnn.Context, batch int) (*dnn.Net, *dnn.SoftmaxLoss) { return AlexNet(ctx, batch, 1000) }},
+	{"caffe-alexnet", func(ctx *dnn.Context, batch int) (*dnn.Net, *dnn.SoftmaxLoss) { return CaffeAlexNet(ctx, batch, 1000) }},
+	{"resnet18", func(ctx *dnn.Context, batch int) (*dnn.Net, *dnn.SoftmaxLoss) { return ResNet18(ctx, batch, 1000) }},
+	{"resnet50", func(ctx *dnn.Context, batch int) (*dnn.Net, *dnn.SoftmaxLoss) { return ResNet50(ctx, batch, 1000) }},
+	{"densenet40", func(ctx *dnn.Context, batch int) (*dnn.Net, *dnn.SoftmaxLoss) { return DenseNet40(ctx, batch, 40, 10) }},
+	{"inception", func(ctx *dnn.Context, batch int) (*dnn.Net, *dnn.SoftmaxLoss) {
+		return InceptionModule(ctx, batch), nil
+	}},
+}
+
+// Names returns the network names Build accepts.
+func Names() []string {
+	out := make([]string, len(networks))
+	for i, n := range networks {
+		out[i] = n.name
+	}
+	return out
+}
+
+// Build constructs the named network over ctx at the given batch. The
+// loss head is nil for networks without one (the inception module).
+func Build(ctx *dnn.Context, name string, batch int) (*dnn.Net, *dnn.SoftmaxLoss, error) {
+	for _, n := range networks {
+		if n.name == name {
+			net, loss := n.build(ctx, batch)
+			return net, loss, nil
+		}
+	}
+	return nil, nil, fmt.Errorf("zoo: unknown network %q (have %s)", name, strings.Join(Names(), ", "))
+}
+
 // AlexNet builds the single-column AlexNet variant (Krizhevsky's "one
 // weird trick" model with Caffe's LRN layers) for 224x224 inputs.
 func AlexNet(ctx *dnn.Context, batch, classes int) (*dnn.Net, *dnn.SoftmaxLoss) {

@@ -192,6 +192,26 @@ func TestDenseNetTrainStep(t *testing.T) {
 	}
 }
 
+// Every name Build accepts builds and sets up on a model-only handle; an
+// unknown name errors.
+func TestBuildNames(t *testing.T) {
+	for _, name := range Names() {
+		net, loss, err := Build(timingCtx(), name, 2)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := net.Setup(); err != nil {
+			t.Fatalf("%s: setup: %v", name, err)
+		}
+		if (loss == nil) != (name == "inception") {
+			t.Fatalf("%s: loss head %v", name, loss)
+		}
+	}
+	if _, _, err := Build(timingCtx(), "bogus", 2); err == nil {
+		t.Fatal("unknown network must error")
+	}
+}
+
 func TestIsConvLayer(t *testing.T) {
 	if !IsConvLayer("res2.0.a.conv") || !IsConvLayer("conv2") || IsConvLayer("pool1") || IsConvLayer("fc6") {
 		t.Fatal("IsConvLayer misclassifies")
